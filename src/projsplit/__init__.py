@@ -8,22 +8,18 @@ knowledge. Block selection and iterate staleness are simulated
 deterministically from seeds.
 """
 
-from .checks import CheckResult, InvariantMonitor, audit_schedule, run_with_checks
-from .config import RunConfig, parse_config, serialize_config
-from .engine import (BlockState, Engine, EngineConfig, IterationRecord, OperatorSlot,
-                     RunTrace, SeparatorEval, StepOutcome, affine_value, backward_update,
-                     evaluate_separator, forward_update_with_backtrack, project, run,
-                     separator_gradient)
-from .errors import (BacktrackLimitError, CapabilityError, ConfigError, HistoryError,
-                     ShapeError)
+from .checks import InvariantMonitor, affine_value, audit_schedule, run_with_checks
+from .config import parse_config, serialize_config
+from .engine import (Engine, EngineConfig, OperatorSlot, backward_update, evaluate_separator,
+                     forward_update_with_backtrack, project, run)
+from .errors import BacktrackLimitError, CapabilityError, ConfigError, ShapeError
 from .linalg import (LinearMap, PrimalDualPoint, Space, Vec, derived_wn, gamma_inner,
                      gamma_norm, point_diff)
-from .operators import (ErrorPolicy, MonotoneOperator, ProxResult, affine_monotone,
-                        box_normal_cone, cube, error_inequality_gaps, forward_eval,
-                        gradient_quadratic, inject_error, l1_subdifferential, prox_eval,
-                        signed_sqrt, zero_op)
-from .problems import (ProblemSpec, ReferenceSolution, build, kkt_residual, make_box_cubic,
-                       make_lasso, make_signed_sqrt, make_skew_composed)
+from .operators import (ErrorPolicy, MonotoneOperator, affine_monotone, box_normal_cone, cube,
+                        error_inequality_gaps, forward_eval, gradient_quadratic, inject_error,
+                        l1_subdifferential, prox_eval, signed_sqrt, zero_op)
+from .problems import (ProblemSpec, build, kkt_residual, make_box_cubic, make_lasso,
+                       make_signed_sqrt, make_skew_composed)
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
 
 __version__ = "0.1.0"

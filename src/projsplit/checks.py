@@ -1,16 +1,22 @@
-"""Runtime verification of the solver's structural guarantees.
+"""Verification of the solver's structural guarantees.
 
-The monitor rides along a run as a callback and checks, every iteration:
+The engine computes only what the iteration needs; verifying it is this
+module's job. :class:`InvariantMonitor` rides along a run as a callback
+(``run_with_checks`` and ``projsplit verify`` attach it; a plain run does
+no checking) and checks, every iteration:
 
 * separation     -- the separator is nonpositive at the reference solution;
 * fejer          -- the weighted distance to the reference never increases;
-* pi-identity    -- the recorded gradient norm matches an independent
+* pi-identity    -- the separator's gradient norm matches an independent
                     assembly of the gradient in the weighted metric;
 * update-identity-- each block update reproduces its defining equation;
 * projection     -- an unrelaxed projection lands on the zero hyperplane;
 * error-bounds   -- injected prox errors satisfied their admissibility
                     inequalities.
 
+The identities are recomputed from what the engine hands over by
+reference: the inputs each updated :class:`~projsplit.engine.BlockState`
+keeps and the engine's last separator. No operator is evaluated here.
 Schedule guarantees (coverage window, staleness bound) are audited
 post-hoc from the trace records.
 """
@@ -19,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Engine, affine_value, IterationRecord
-from .linalg import PrimalDualPoint, gamma_norm, point_diff
+from .engine import BlockState, Engine, IterationRecord, SeparatorEval, separator_gradient
+from .errors import ShapeError
+from .linalg import PrimalDualPoint, derived_wn, gamma_norm, point_diff
+from .operators import ProxResult, error_inequality_gaps
 
 
 @dataclass
@@ -35,6 +43,54 @@ class CheckResult:
         status = "pass" if self.passed else "FAIL"
         where = "" if self.first_failure is None else f"  first bad iteration: {self.first_failure}"
         return f"{self.name:<18} {status}  worst={self.worst:.3e}{where}"
+
+
+def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
+    """The separator value at an arbitrary point, assembled independently.
+
+    Computed from the inner products of block mismatches,
+
+        sum_i <G_i z - x_i, y_i - w_i> + <z - x_n, y_n - w_n(q)>,
+
+    rather than from the (u, v) coordinates, so it cross-checks
+    :func:`~projsplit.engine.evaluate_separator`. Nonpositive at every
+    solution point.
+    """
+    n = len(blocks)
+    if len(q.w) != n - 1:
+        raise ShapeError(f"point has {len(q.w)} dual blocks, expected {n - 1}")
+    total = 0.0
+    for i in range(n - 1):
+        total += (maps[i].apply(q.z) - blocks[i].x).dot(blocks[i].y - q.w[i])
+    wn = derived_wn(q, maps)
+    total += (q.z - blocks[-1].x).dot(blocks[-1].y - wn)
+    return total
+
+
+def pi_gap(sep: SeparatorEval, gamma: float) -> float:
+    """Relative mismatch between pi and the squared gamma-norm of the gradient."""
+    grad_sq = gamma_norm(separator_gradient(sep, gamma), gamma) ** 2
+    return abs(sep.pi - grad_sq) / max(sep.pi, grad_sq, 1e-300)
+
+
+def update_gap(block: BlockState, kind: str) -> float:
+    """Normalized residual of the equation that defined a block update.
+
+    Forward: x = theta - rho*(T(theta) - w). Backward: x + rho*y equals the
+    resolvent's input theta + rho*w + e.
+    """
+    if kind == "forward":
+        recon = block.theta - block.rho * block.drift
+        return (block.x - recon).norm() / (1.0 + recon.norm())
+    a = block.theta + block.rho * block.w + block.error
+    return (block.x + block.rho * block.y - a).norm() / (1.0 + a.norm())
+
+
+def error_gap(block: BlockState, sigma: float) -> float:
+    """Worst admissibility-inequality violation by a backward update's error; 0 if admissible."""
+    g1, g2 = error_inequality_gaps(block.error, ProxResult(block.x, block.y), block.theta,
+                                   block.w, block.rho, sigma)
+    return max(0.0, -g1, -g2)
 
 
 class _Accumulator:
@@ -59,7 +115,8 @@ class InvariantMonitor:
     ``reference`` enables the separation and Fejer checks; without it only
     the self-contained identities are verified. The monitor assumes the run
     starts from the problem's stored initial point unless ``initial_point``
-    says otherwise.
+    says otherwise. After each step it reads the engine's state: the blocks
+    updated in that iteration and ``engine.separator``.
     """
 
     def __init__(self, problem, gamma: float, reference=None, *,
@@ -85,9 +142,14 @@ class InvariantMonitor:
 
     def __call__(self, engine: Engine, record: IterationRecord):
         k = record.iteration
-        self._acc["pi-identity"].observe(record.pi_gap - self.tols["pi"], k)
-        self._acc["update-identity"].observe(record.update_gap - self.tols["update"], k)
-        self._acc["error-bounds"].observe(record.error_gap - self.tols["error"], k)
+        self._acc["pi-identity"].observe(
+            pi_gap(engine.separator, engine.config.gamma) - self.tols["pi"], k)
+        for i in record.selected:
+            block, kind = engine.blocks[i], engine.slots[i].kind
+            self._acc["update-identity"].observe(update_gap(block, kind) - self.tols["update"], k)
+            if kind == "backward":
+                self._acc["error-bounds"].observe(
+                    error_gap(block, engine.error_policy.sigma) - self.tols["error"], k)
 
         if record.projected and record.phi > 0.0 and record.beta == 1.0:
             landed = affine_value(engine.blocks, engine.problem.maps, engine.point)

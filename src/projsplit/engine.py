@@ -15,18 +15,24 @@ the solution set; the iterate is then projected onto its zero hyperplane,
 scaled by an overrelaxation factor. The loop stops on small residuals, on
 an exactly-zero separator gradient (which certifies the block values as a
 solution), or on the iteration budget.
+
+The engine computes only what the iteration needs. The identities that
+verify it (update equations, gradient norm, error admissibility) are
+checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
+:class:`BlockState` keeps and from :attr:`Engine.separator`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BacktrackLimitError, ConfigError, ShapeError
-from .linalg import PrimalDualPoint, Vec, derived_wn, gamma_norm
-from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error
+from .errors import BacktrackLimitError, ConfigError
+# gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py wraps them here
+from .linalg import PrimalDualPoint, Vec, derived_wn, gamma_norm  # noqa: F401
+from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
 
 
@@ -118,23 +124,23 @@ class OperatorSlot:
 
 @dataclass(frozen=True)
 class BlockState:
-    """Result of a block update: (x, y) with y in T(x), plus bookkeeping.
+    """Result of a block update: (x, y) with y in T(x), plus its inputs.
 
-    ``updated_at`` is the iteration that produced the pair (0 for the
-    initial state) and ``source`` the iteration whose iterate was read.
-    ``identity_gap`` is the normalized reconstruction error of the update
-    equation; ``error_gap`` the worst admissibility-inequality violation of
-    the injected prox error (both should be ~0).
+    ``theta`` = G z and ``w`` are the (possibly stale) iterate values the
+    update read. A forward update also keeps ``drift`` = T(theta) - w, a
+    backward update the accepted prox-input error ``error``. The engine
+    never reads these four; the invariant monitor verifies the update
+    equations from them. Initial states leave them None.
     """
 
     x: Vec
     y: Vec
     rho: float
-    updated_at: int = 0
-    source: int = 0
     backtracks: int = 0
-    identity_gap: float = 0.0
-    error_gap: float = 0.0
+    theta: Vec | None = None
+    w: Vec | None = None
+    drift: Vec | None = None
+    error: Vec | None = None
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,15 @@ class SeparatorEval:
     pi: float
     phi_at_p: float
     alpha: float
-    beta: float
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Diagnostics for one outer iteration."""
+    """Diagnostics for one outer iteration.
+
+    The per-iteration identities are not recorded: the invariant monitor
+    checks them from the engine's state when it rides along the run.
+    """
 
     iteration: int
     phi: float
@@ -167,9 +176,6 @@ class IterationRecord:
     max_dual_residual: float
     backtracks: tuple[int, ...]
     stepsizes: tuple[float, ...]
-    pi_gap: float
-    update_gap: float
-    error_gap: float
     projected: bool
 
 
@@ -205,22 +211,16 @@ class RunTrace:
 # ---------------------------------------------------------------------------
 
 def backward_update(slot: OperatorSlot, z_delayed: Vec, w_delayed: Vec, rho: float,
-                    error_policy: ErrorPolicy, *, k: int = 0, source: int = 0) -> BlockState:
+                    error_policy: ErrorPolicy) -> BlockState:
     """Resolvent step at input G z + rho*w + e with an admissible error e."""
     gz = slot.map.apply(z_delayed)
     base = gz + rho * w_delayed
     e, res = inject_error(error_policy, base, slot.op, rho, gz, w_delayed)
-    a = base + e
-    recon_err = (res.x + rho * res.y - a).norm() / (1.0 + a.norm())
-    g1, g2 = error_inequality_gaps(e, res, gz, w_delayed, rho, error_policy.sigma)
-    return BlockState(x=res.x, y=res.y, rho=rho, updated_at=k, source=source,
-                      backtracks=0, identity_gap=recon_err,
-                      error_gap=max(0.0, -g1, -g2))
+    return BlockState(x=res.x, y=res.y, rho=rho, theta=gz, w=w_delayed, error=e)
 
 
 def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: Vec, w_delayed: Vec,
-                                  rho_init: float, config: EngineConfig,
-                                  *, k: int = 0, source: int = 0) -> BlockState:
+                                  rho_init: float, config: EngineConfig) -> BlockState:
     """Two-evaluation step with geometric backtracking.
 
     If T(G z) already matches w (to quickstop tolerance) the pair is
@@ -251,10 +251,8 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: Vec, w_delayed:
                 break
             rho = config.nu * rho
         x, y, rho_hat = x_try, y_try, rho
-    recon = theta - rho_hat * drift
-    recon_err = (x - recon).norm() / (1.0 + recon.norm())
-    return BlockState(x=x, y=y, rho=rho_hat, updated_at=k, source=source,
-                      backtracks=count, identity_gap=recon_err)
+    return BlockState(x=x, y=y, rho=rho_hat, backtracks=count, theta=theta, w=w_delayed,
+                      drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +285,10 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
     for b in blocks:
         phi -= b.x.dot(b.y)
     alpha = beta * max(0.0, phi) / pi if pi > 0.0 else 0.0
-    return SeparatorEval(u=u, v=v, pi=pi, phi_at_p=phi, alpha=alpha, beta=beta)
+    return SeparatorEval(u=u, v=v, pi=pi, phi_at_p=phi, alpha=alpha)
 
 
-def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
-    """The separator value at an arbitrary point, assembled independently.
-
-    Computed from the inner products of block mismatches,
-
-        sum_i <G_i z - x_i, y_i - w_i> + <z - x_n, y_n - w_n(q)>,
-
-    rather than from the (u, v) coordinates, so it cross-checks
-    :func:`evaluate_separator`. Nonpositive at every solution point.
-    """
-    n = len(blocks)
-    if len(q.w) != n - 1:
-        raise ShapeError(f"point has {len(q.w)} dual blocks, expected {n - 1}")
-    total = 0.0
-    for i in range(n - 1):
-        total += (maps[i].apply(q.z) - blocks[i].x).dot(blocks[i].y - q.w[i])
-    wn = derived_wn(q, maps)
-    total += (q.z - blocks[-1].x).dot(blocks[-1].y - wn)
-    return total
-
-
+# verification only (the monitor's pi-identity); perfbench/tracing.py looks it up here
 def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
     """The separator gradient as a point in the product space: (v/gamma, u)."""
     return PrimalDualPoint(sep.v / gamma, sep.u)
@@ -339,6 +317,9 @@ def project(p: PrimalDualPoint, sep: SeparatorEval, gamma: float,
 class Engine:
     """Driver for one solver run. Single-threaded, deterministic given seeds.
 
+    After each step ``blocks`` holds the block states and ``separator`` that
+    iteration's :class:`SeparatorEval`; a ``run`` callback may read both.
+
     Parameters
     ----------
     problem : ProblemSpec
@@ -349,7 +330,9 @@ class Engine:
         Prox perturbation policy; a fresh copy is taken so generator state
         stays confined to this engine.
     initial_blocks : sequence of (Vec, Vec), optional
-        Initial (x_i, y_i) pairs; defaults to (G_i z1, 0).
+        Initial (x_i, y_i) pairs, each in the graph of T_i. Without them
+        every block is processed at iteration 1, since the separator is
+        only valid for pairs in the graphs.
     beta_schedule : callable(int) -> float, optional
         Per-iteration overrelaxation, validated against [beta_lo, beta_hi].
     alpha_hook : callable(float) -> float, optional
@@ -383,18 +366,22 @@ class Engine:
         self.history = HistoryBuffer(self.schedule.D)
         self.history.store(1, self.point)
         if initial_blocks is None:
+            # placeholders (G_i z1, 0), not in gra T_i: marking every block
+            # overdue makes select_blocks replace them all at iteration 1
             self.blocks = [
                 BlockState(x=s.map.apply(self.point.z), y=s.op.space.zeros(), rho=s.rho_init)
                 for s in self.slots
             ]
+            self.last_selected = [1 - self.schedule.M] * n
         else:
             self.blocks = [
                 BlockState(x=x, y=y, rho=s.rho_init)
                 for s, (x, y) in zip(self.slots, initial_blocks)
             ]
+            self.last_selected = [0] * n
         self.k = 0
         self.covered: set[int] = set()
-        self.last_selected = [0] * n
+        self.separator: SeparatorEval | None = None
         self.records: list[IterationRecord] = []
         self._all_blocks = frozenset(range(n))
 
@@ -418,30 +405,34 @@ class Engine:
             return StepOutcome("budget")
         k = self.k = self.k + 1
         n = self.n
+        maps = self.problem.maps
 
         selected = select_blocks(self.schedule, n, k, self.last_selected)
         delays = tuple(delayed_index(self.schedule, i, k) for i in selected)
+        # iterate k is the current point, so a zero-delay read of the last
+        # block shares w_n with the dual residual below
+        wn = derived_wn(self.point, maps)
         for i, d in zip(selected, delays):
             self.last_selected[i] = k
             slot = self.slots[i]
             stale = self.history.read(d)
             z_d = stale.z
-            w_d = stale.w[i] if i < n - 1 else derived_wn(stale, self.problem.maps)
+            if i < n - 1:
+                w_d = stale.w[i]
+            else:
+                w_d = wn if d == k else derived_wn(stale, maps)
             if slot.kind == "backward":
                 self.blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init,
-                                                 self.error_policy, k=k, source=d)
+                                                 self.error_policy)
             else:
                 self.blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, slot.rho_init,
-                                                               cfg, k=k, source=d)
+                                                               cfg)
         self.covered.update(selected)
 
         beta_k = self._beta_at(k)
-        sep = evaluate_separator(self.blocks, self.point, self.problem.maps, cfg.gamma, beta_k)
+        sep = self.separator = evaluate_separator(self.blocks, self.point, maps, cfg.gamma,
+                                                  beta_k)
 
-        grad_sq = gamma_norm(separator_gradient(sep, cfg.gamma), cfg.gamma) ** 2
-        pi_gap = abs(sep.pi - grad_sq) / max(sep.pi, grad_sq, 1e-300)
-
-        wn = derived_wn(self.point, self.problem.maps)
         primal = tuple(
             (self.slots[i].map.apply(self.point.z) - self.blocks[i].x).norm() for i in range(n))
         dual = tuple(
@@ -461,9 +452,6 @@ class Engine:
             backtracks=tuple(self.blocks[i].backtracks if i in selected else 0
                              for i in range(n)),
             stepsizes=tuple(b.rho for b in self.blocks),
-            pi_gap=pi_gap,
-            update_gap=max(self.blocks[i].identity_gap for i in selected),
-            error_gap=max(self.blocks[i].error_gap for i in selected),
             projected=projected,
         ))
 

@@ -34,6 +34,17 @@ def sync_config(max_iters):
                            tol_primal=RESIDUAL_TOL, tol_dual=RESIDUAL_TOL)
 
 
+def monitor_for(spec, ref=None):
+    """An invariant monitor whose tolerances are this module's constants.
+
+    Without ``ref`` it checks only the self-contained identities.
+    """
+    return ps.InvariantMonitor(spec, 1.0, ref, separation_tol=SEPARATION_TOL,
+                               fejer_slack=FEJER_SLACK, pi_tol=PI_IDENTITY_TOL,
+                               update_tol=UPDATE_IDENTITY_TOL,
+                               error_tol=ERROR_ADMISSIBILITY_TOL)
+
+
 def _report(criterion, ok=True):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
 
@@ -50,8 +61,7 @@ def sync_runs(builtins):
                "skew_composed": 3000}
     out = {}
     for kind, (spec, ref) in builtins.items():
-        monitor = ps.InvariantMonitor(spec, 1.0, ref, separation_tol=SEPARATION_TOL,
-                                      fejer_slack=FEJER_SLACK)
+        monitor = monitor_for(spec, ref)
         engine = ps.Engine(spec, sync_config(budgets[kind]))
         trace = engine.run(callback=monitor)
         out[kind] = (spec, ref, trace, monitor)
@@ -61,13 +71,15 @@ def sync_runs(builtins):
 @pytest.fixture(scope="module")
 def lasso_run(builtins):
     spec, ref = builtins["lasso"]
-    return spec, ref, ps.run(spec, sync_config(LASSO_BUDGET))
+    monitor = monitor_for(spec)
+    return spec, ref, ps.run(spec, sync_config(LASSO_BUDGET), callback=monitor), monitor
 
 
 @pytest.fixture(scope="module")
 def signed_sqrt_run():
     spec, ref = ps.build("signed_sqrt", {"dim": 4, "c": 0.0})
-    return spec, ref, ps.run(spec, sync_config(NONLIPSCHITZ_BUDGET))
+    monitor = monitor_for(spec)
+    return spec, ref, ps.run(spec, sync_config(NONLIPSCHITZ_BUDGET), callback=monitor), monitor
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +88,17 @@ def async_box_run(builtins):
     schedule = ps.SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                                  delay_kind="seeded-random", seed=11)
     engine = ps.Engine(spec, sync_config(ASYNC_BUDGET), schedule)
-    return spec, ref, engine.run(), engine.schedule
+    monitor = monitor_for(spec)
+    return spec, ref, engine.run(callback=monitor), engine.schedule, monitor
 
 
 @pytest.fixture(scope="module")
 def inexact_lasso_run(builtins):
     spec, ref = builtins["lasso"]
     policy = ps.ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=8)
-    return spec, ref, ps.run(spec, sync_config(INEXACT_BUDGET), error_policy=policy)
+    monitor = monitor_for(spec)
+    trace = ps.run(spec, sync_config(INEXACT_BUDGET), error_policy=policy, callback=monitor)
+    return spec, ref, trace, monitor
 
 
 def test_criterion_1_separation_and_fejer(sync_runs):
@@ -98,7 +113,7 @@ def test_criterion_1_separation_and_fejer(sync_runs):
 
 
 def test_criterion_2_lasso_convergence(lasso_run):
-    spec, ref, trace = lasso_run
+    spec, ref, trace, _ = lasso_run
     assert trace.status == "converged"
     assert trace.iterations <= LASSO_BUDGET
     assert trace.max_primal_residual <= RESIDUAL_TOL
@@ -109,7 +124,7 @@ def test_criterion_2_lasso_convergence(lasso_run):
 
 
 def test_criterion_3_merely_continuous_regime(signed_sqrt_run):
-    spec, ref, trace = signed_sqrt_run
+    spec, ref, trace, _ = signed_sqrt_run
     assert trace.status in ("converged", "budget")
     assert trace.iterations <= NONLIPSCHITZ_BUDGET
     final_z = trace.solution.z if trace.solution is not None else trace.final_point.z
@@ -155,7 +170,7 @@ def test_criterion_4_backtracking_hand_traces():
 
 
 def test_criterion_5_async_robustness(async_box_run):
-    spec, ref, trace, schedule = async_box_run
+    spec, ref, trace, schedule, _ = async_box_run
     assert trace.status == "converged"
     assert trace.iterations <= ASYNC_BUDGET
     assert trace.max_primal_residual <= RESIDUAL_TOL
@@ -167,28 +182,29 @@ def test_criterion_5_async_robustness(async_box_run):
 
 
 def test_criterion_6_inexact_prox_regime(inexact_lasso_run):
-    spec, ref, trace = inexact_lasso_run
+    spec, ref, trace, monitor = inexact_lasso_run
     assert trace.status == "converged"
     assert trace.iterations <= INEXACT_BUDGET
     assert trace.max_primal_residual <= RESIDUAL_TOL
     assert trace.max_dual_residual <= RESIDUAL_TOL
     z_err = float(np.linalg.norm(trace.solution.z.entries - ref.z.entries))
     assert z_err <= Z_AGREEMENT_TOL
-    for record in trace.records:
-        assert record.error_gap <= ERROR_ADMISSIBILITY_TOL
+    bounds = {r.name: r for r in monitor.results()}["error-bounds"]
+    assert bounds.passed, f"error admissibility violated at {bounds.first_failure}"
     _report("6 (sigma=0.5 inexact prox still converges)")
 
 
 def test_criterion_7_identities_every_iteration(sync_runs, lasso_run, signed_sqrt_run,
                                                 async_box_run, inexact_lasso_run):
-    traces = [trace for (_, _, trace, _) in sync_runs.values()]
-    traces += [lasso_run[2], signed_sqrt_run[2], async_box_run[2], inexact_lasso_run[2]]
+    runs = [(trace, monitor) for (_, _, trace, monitor) in sync_runs.values()]
+    runs += [(run[2], run[-1]) for run in (lasso_run, signed_sqrt_run, async_box_run,
+                                           inexact_lasso_run)]
     total = 0
-    for trace in traces:
-        for record in trace.records:
-            assert record.pi_gap <= PI_IDENTITY_TOL, record.iteration
-            assert record.update_gap <= UPDATE_IDENTITY_TOL, record.iteration
-            total += 1
+    for trace, monitor in runs:
+        named = {r.name: r for r in monitor.results()}
+        for name in ("pi-identity", "update-identity"):
+            assert named[name].passed, f"{name} violated at {named[name].first_failure}"
+        total += trace.iterations
     assert total > 0
     _report(f"7 (gradient-norm + update identities over {total} iterations)")
 

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import projsplit.engine
 from projsplit import (Engine, EngineConfig, ErrorPolicy, InvariantMonitor, SchedulePolicy,
-                       audit_schedule, build, run_with_checks)
+                       Vec, audit_schedule, build, prox_eval, run_with_checks)
 from projsplit.engine import IterationRecord
+from projsplit.operators import ProxResult
 
 
 def _results_by_name(results):
@@ -64,6 +68,75 @@ def test_error_injection_run_passes_error_bounds():
     assert all(r.passed for r in results)
 
 
+def test_default_initial_pairs_do_not_break_separation():
+    # the default pairs (G_i z1, 0) are not in gra T_i; a first iteration
+    # that skipped a block used to put one into the separator
+    spec, ref = build("skew_composed", {"seed": 1235})
+    sched = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                           delay_kind="seeded-random", seed=1)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=2)
+    trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=200), sched, errors)
+    assert trace.records[0].selected == tuple(range(spec.n))
+    named = _results_by_name(results)
+    assert named["separation"].passed, named["separation"].first_failure
+    assert all(r.passed for r in results)
+
+
+# -- the moved identity checks flag corrupted inputs --------------------------
+
+def _identity_results(spec, error_policy=None):
+    eng = Engine(spec, EngineConfig(max_iters=5), error_policy=error_policy)
+    mon = InvariantMonitor(spec, 1.0)
+    eng.run(callback=mon)
+    return _results_by_name(mon.results())
+
+
+def test_perturbed_backward_x_breaks_update_identity(monkeypatch):
+    original = projsplit.engine.inject_error
+
+    def perturbed(*args):
+        e, res = original(*args)
+        return e, ProxResult(Vec(res.x.space, res.x.entries + 1e-6), res.y)
+
+    monkeypatch.setattr(projsplit.engine, "inject_error", perturbed)
+    spec, _ = build("lasso", {})
+    named = _identity_results(spec)
+    assert not named["update-identity"].passed
+    assert named["update-identity"].first_failure == 1
+    assert named["pi-identity"].passed
+
+
+def test_scaled_pi_breaks_pi_identity(monkeypatch):
+    original = projsplit.engine.evaluate_separator
+
+    def scaled(*args):
+        sep = original(*args)
+        return dataclasses.replace(sep, pi=sep.pi * (1.0 + 1e-6))
+
+    monkeypatch.setattr(projsplit.engine, "evaluate_separator", scaled)
+    spec, _ = build("lasso", {})
+    named = _identity_results(spec)
+    assert not named["pi-identity"].passed
+    assert named["pi-identity"].first_failure == 1
+    assert named["update-identity"].passed
+
+
+def test_unhalved_error_breaks_error_bounds(monkeypatch):
+    def unhalved(policy, base_input, op, rho, z_block, w_block):
+        # the first random draw, accepted without the admissibility halvings
+        direction = policy.rng.standard_normal(base_input.space.dim)
+        e = Vec(base_input.space, policy.magnitude * direction / np.linalg.norm(direction))
+        return e, prox_eval(op, rho, base_input + e)
+
+    monkeypatch.setattr(projsplit.engine, "inject_error", unhalved)
+    spec, _ = build("lasso", {})
+    named = _identity_results(spec, ErrorPolicy(sigma=0.5, mode="seeded-random",
+                                                magnitude=0.1, seed=8))
+    assert not named["error-bounds"].passed
+    assert named["error-bounds"].first_failure == 1
+    assert named["update-identity"].passed  # the error is part of the prox input
+
+
 def _record(iteration, selected, delays):
     n = max(max(selected, default=0) + 1, 2)
     return IterationRecord(
@@ -71,8 +144,7 @@ def _record(iteration, selected, delays):
         selected=tuple(selected), delays=tuple(delays),
         primal_residuals=(0.0,) * n, dual_residuals=(0.0,) * n,
         max_primal_residual=0.0, max_dual_residual=0.0,
-        backtracks=(0,) * n, stepsizes=(1.0,) * n,
-        pi_gap=0.0, update_gap=0.0, error_gap=0.0, projected=True)
+        backtracks=(0,) * n, stepsizes=(1.0,) * n, projected=True)
 
 
 def test_audit_flags_coverage_gap():

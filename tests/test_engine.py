@@ -9,6 +9,7 @@ from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, E
                        affine_value, backward_update, box_normal_cone, build,
                        evaluate_separator, forward_update_with_backtrack, kkt_residual,
                        l1_subdifferential, project, run, zero_op)
+from projsplit.checks import update_gap
 from projsplit.engine import BlockState
 
 
@@ -83,7 +84,7 @@ def test_backward_identity_gap_is_tiny():
         state = backward_update(st_, Vec(Space(3), rng.standard_normal(3)),
                                 Vec(Space(3), rng.standard_normal(3)),
                                 float(rng.uniform(0.1, 5)), NO_ERRORS)
-        assert state.identity_gap <= 1e-10
+        assert update_gap(state, "backward") <= 1e-10
 
 
 # -- forward updates with backtracking ----------------------------------------
