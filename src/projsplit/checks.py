@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import BlockState, Engine, IterationRecord, SeparatorEval, separator_gradient
 from .errors import ShapeError
 from .linalg import PrimalDualPoint, derived_wn, gamma_norm, point_diff
@@ -59,12 +61,13 @@ def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
     n = len(blocks)
     if len(q.w) != n - 1:
         raise ShapeError(f"point has {len(q.w)} dual blocks, expected {n - 1}")
+    z = q.z.entries
     total = 0.0
     for i in range(n - 1):
-        total += (maps[i].apply(q.z) - blocks[i].x).dot(blocks[i].y - q.w[i])
+        total += np.dot(maps[i].apply(z) - blocks[i].x, blocks[i].y - q.w[i].entries)
     wn = derived_wn(q, maps)
-    total += (q.z - blocks[-1].x).dot(blocks[-1].y - wn)
-    return total
+    total += np.dot(z - blocks[-1].x, blocks[-1].y - wn)
+    return float(total)
 
 
 def pi_gap(sep: SeparatorEval, gamma: float) -> float:
@@ -81,9 +84,9 @@ def update_gap(block: BlockState, kind: str) -> float:
     """
     if kind == "forward":
         recon = block.theta - block.rho * block.drift
-        return (block.x - recon).norm() / (1.0 + recon.norm())
+        return float(np.linalg.norm(block.x - recon) / (1.0 + np.linalg.norm(recon)))
     a = block.theta + block.rho * block.w + block.error
-    return (block.x + block.rho * block.y - a).norm() / (1.0 + a.norm())
+    return float(np.linalg.norm(block.x + block.rho * block.y - a) / (1.0 + np.linalg.norm(a)))
 
 
 def error_gap(block: BlockState, sigma: float) -> float:

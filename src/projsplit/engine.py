@@ -20,18 +20,23 @@ The engine computes only what the iteration needs. The identities that
 verify it (update equations, gradient norm, error admissibility) are
 checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
 :class:`BlockState` keeps and from :attr:`Engine.separator`.
+
+Block updates, the separator and the projection work on float64 arrays;
+the iterate (:attr:`Engine.point`, the history entries) is a
+:class:`~projsplit.linalg.PrimalDualPoint`, built once per projection.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BacktrackLimitError, ConfigError
+from .errors import BacktrackLimitError, ConfigError, ShapeError
 # gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py wraps them here
-from .linalg import PrimalDualPoint, Vec, derived_wn, gamma_norm  # noqa: F401
+from .linalg import PrimalDualPoint, Space, Vec, derived_wn, gamma_norm  # noqa: F401
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
 
@@ -133,14 +138,14 @@ class BlockState:
     equations from them. Initial states leave them None.
     """
 
-    x: Vec
-    y: Vec
+    x: np.ndarray
+    y: np.ndarray
     rho: float
     backtracks: int = 0
-    theta: Vec | None = None
-    w: Vec | None = None
-    drift: Vec | None = None
-    error: Vec | None = None
+    theta: np.ndarray | None = None
+    w: np.ndarray | None = None
+    drift: np.ndarray | None = None
+    error: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,8 @@ class SeparatorEval:
     """One iteration's affine separator: offsets u_i, v, its gradient norm
     pi, the value at the current point, and the resulting steplength."""
 
-    u: tuple[Vec, ...]
-    v: Vec
+    u: tuple[np.ndarray, ...]
+    v: np.ndarray
     pi: float
     phi_at_p: float
     alpha: float
@@ -210,8 +215,8 @@ class RunTrace:
 # block updates
 # ---------------------------------------------------------------------------
 
-def backward_update(slot: OperatorSlot, z_delayed: Vec, w_delayed: Vec, rho: float,
-                    error_policy: ErrorPolicy) -> BlockState:
+def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.ndarray,
+                    rho: float, error_policy: ErrorPolicy) -> BlockState:
     """Resolvent step at input G z + rho*w + e with an admissible error e."""
     gz = slot.map.apply(z_delayed)
     base = gz + rho * w_delayed
@@ -219,8 +224,9 @@ def backward_update(slot: OperatorSlot, z_delayed: Vec, w_delayed: Vec, rho: flo
     return BlockState(x=res.x, y=res.y, rho=rho, theta=gz, w=w_delayed, error=e)
 
 
-def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: Vec, w_delayed: Vec,
-                                  rho_init: float, config: EngineConfig) -> BlockState:
+def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
+                                  w_delayed: np.ndarray, rho_init: float,
+                                  config: EngineConfig) -> BlockState:
     """Two-evaluation step with geometric backtracking.
 
     If T(G z) already matches w (to quickstop tolerance) the pair is
@@ -233,7 +239,7 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: Vec, w_delayed:
     theta = slot.map.apply(z_delayed)
     zeta = forward_eval(slot.op, theta)
     drift = zeta - w_delayed
-    if drift.norm() <= config.quickstop_eps * (1.0 + w_delayed.norm()):
+    if np.linalg.norm(drift) <= config.quickstop_eps * (1.0 + np.linalg.norm(w_delayed)):
         x, y, rho_hat, count = theta, zeta, rho_init, 0
     else:
         rho = rho_init
@@ -247,7 +253,7 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: Vec, w_delayed:
             x_try = theta - rho * drift
             y_try = forward_eval(slot.op, x_try)
             gap = theta - x_try
-            if config.delta * gap.dot(gap) - gap.dot(y_try - w_delayed) <= 0.0:
+            if config.delta * np.dot(gap, gap) - np.dot(gap, y_try - w_delayed) <= 0.0:
                 break
             rho = config.nu * rho
         x, y, rho_hat = x_try, y_try, rho
@@ -270,20 +276,24 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
         phi(p) = <z, v> + sum_i <w_i, u_i> - sum_i <x_i, y_i>.
 
     The steplength is beta*max(0, phi)/pi when pi > 0 and zero otherwise.
+    Raises :class:`ShapeError` when pi or phi is not finite: a block value
+    overflowed or is NaN/Inf, and the steplength would be meaningless.
     """
     n = len(blocks)
     x_n, y_n = blocks[-1].x, blocks[-1].y
     u = tuple(blocks[i].x - maps[i].apply(x_n) for i in range(n - 1))
-    v = y_n.space.zeros()
+    v = np.zeros(y_n.shape[0])
     for i in range(n - 1):
         v = v + maps[i].apply_adjoint(blocks[i].y)
     v = v + y_n
-    pi = sum(ui.dot(ui) for ui in u) + v.dot(v) / gamma
-    phi = p.z.dot(v)
+    pi = float(sum(np.dot(ui, ui) for ui in u) + np.dot(v, v) / gamma)
+    phi = float(np.dot(p.z.entries, v))
     for wi, ui in zip(p.w, u):
-        phi += wi.dot(ui)
+        phi += float(np.dot(wi.entries, ui))
     for b in blocks:
-        phi -= b.x.dot(b.y)
+        phi -= float(np.dot(b.x, b.y))
+    if not (math.isfinite(pi) and math.isfinite(phi)):
+        raise ShapeError(f"separator is not finite (pi={pi}, phi={phi})")
     alpha = beta * max(0.0, phi) / pi if pi > 0.0 else 0.0
     return SeparatorEval(u=u, v=v, pi=pi, phi_at_p=phi, alpha=alpha)
 
@@ -291,7 +301,9 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
 # verification only (the monitor's pi-identity); perfbench/tracing.py looks it up here
 def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
     """The separator gradient as a point in the product space: (v/gamma, u)."""
-    return PrimalDualPoint(sep.v / gamma, sep.u)
+    v = sep.v / gamma
+    return PrimalDualPoint(Vec(Space(v.shape[0]), v),
+                           tuple(Vec(Space(ui.shape[0]), ui) for ui in sep.u))
 
 
 def project(p: PrimalDualPoint, sep: SeparatorEval, gamma: float,
@@ -305,8 +317,8 @@ def project(p: PrimalDualPoint, sep: SeparatorEval, gamma: float,
     alpha = sep.alpha if alpha_hook is None else alpha_hook(sep.alpha)
     if alpha == 0.0:
         return p
-    z_new = p.z - (alpha / gamma) * sep.v
-    w_new = tuple(wi - alpha * ui for wi, ui in zip(p.w, sep.u))
+    z_new = Vec(p.z.space, p.z.entries - (alpha / gamma) * sep.v)
+    w_new = tuple(Vec(wi.space, wi.entries - alpha * ui) for wi, ui in zip(p.w, sep.u))
     return PrimalDualPoint(z_new, w_new)
 
 
@@ -369,13 +381,14 @@ class Engine:
             # placeholders (G_i z1, 0), not in gra T_i: marking every block
             # overdue makes select_blocks replace them all at iteration 1
             self.blocks = [
-                BlockState(x=s.map.apply(self.point.z), y=s.op.space.zeros(), rho=s.rho_init)
+                BlockState(x=s.map.apply(self.point.z.entries), y=np.zeros(s.op.space.dim),
+                           rho=s.rho_init)
                 for s in self.slots
             ]
             self.last_selected = [1 - self.schedule.M] * n
         else:
             self.blocks = [
-                BlockState(x=x, y=y, rho=s.rho_init)
+                BlockState(x=x.entries, y=y.entries, rho=s.rho_init)
                 for s, (x, y) in zip(self.slots, initial_blocks)
             ]
             self.last_selected = [0] * n
@@ -416,9 +429,9 @@ class Engine:
             self.last_selected[i] = k
             slot = self.slots[i]
             stale = self.history.read(d)
-            z_d = stale.z
+            z_d = stale.z.entries
             if i < n - 1:
-                w_d = stale.w[i]
+                w_d = stale.w[i].entries
             else:
                 w_d = wn if d == k else derived_wn(stale, maps)
             if slot.kind == "backward":
@@ -433,10 +446,15 @@ class Engine:
         sep = self.separator = evaluate_separator(self.blocks, self.point, maps, cfg.gamma,
                                                   beta_k)
 
+        # a zero-delay update read iterate k, so its theta already is G_i z
+        current = {i for i, d in zip(selected, delays) if d == k}
+        z, w = self.point.z.entries, self.point.w
         primal = tuple(
-            (self.slots[i].map.apply(self.point.z) - self.blocks[i].x).norm() for i in range(n))
+            float(np.linalg.norm((b.theta if i in current else s.map.apply(z)) - b.x))
+            for i, (s, b) in enumerate(zip(self.slots, self.blocks)))
         dual = tuple(
-            (self.blocks[i].y - (self.point.w[i] if i < n - 1 else wn)).norm() for i in range(n))
+            float(np.linalg.norm(b.y - (w[i].entries if i < n - 1 else wn)))
+            for i, b in enumerate(self.blocks))
         fully_covered = self.covered == self._all_blocks
 
         exact = sep.pi <= cfg.pi_zero_eps and fully_covered
@@ -456,8 +474,9 @@ class Engine:
         ))
 
         if exact:
-            solution = PrimalDualPoint(self.blocks[-1].x,
-                                       tuple(self.blocks[i].y for i in range(n - 1)))
+            solution = PrimalDualPoint(
+                Vec(self.problem.space0, self.blocks[-1].x),
+                tuple(Vec(wi.space, self.blocks[i].y) for i, wi in enumerate(w)))
             return StepOutcome("exact-termination", solution)
         if converged:
             return StepOutcome("converged", self.point)

@@ -7,7 +7,9 @@ gamma-weighted inner product
 
     <(z1, w1), (z2, w2)>_gamma = gamma*<z1, z2> + sum_i <w1_i, w2_i>.
 
-Everything here is immutable and safe to share; all operations are pure.
+Maps and :func:`derived_wn` work on float64 arrays. :class:`Vec` and
+:class:`PrimalDualPoint` hold only public values and the stored iterate;
+their entries, like every operator output, pass :func:`checked_entries`.
 """
 
 from __future__ import annotations
@@ -29,73 +31,43 @@ class Space:
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise ShapeError(f"space dimension must be a positive integer, got {self.dim!r}")
 
-    def vec(self, entries) -> "Vec":
-        return Vec(self, entries)
-
     def zeros(self) -> "Vec":
         return Vec(self, np.zeros(self.dim))
 
 
-class Vec:
-    """Immutable element of a :class:`Space`, backed by a float64 array.
+def checked_entries(space: Space, entries) -> np.ndarray:
+    """A read-only float64 copy of ``entries``, checked to be a finite element of ``space``.
 
-    Construction rejects NaN/Inf, so downstream arithmetic never has to
-    defend against them. Supports +, -, scalar *, /, dot and norm.
+    A 0-d value counts as one entry. Raises :class:`ShapeError` on a wrong
+    shape or on NaN/Inf.
+    """
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1 or arr.shape[0] != space.dim:
+        raise ShapeError(f"expected {space.dim} entries, got array of shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ShapeError("vector entries must be finite (no NaN/Inf)")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+class Vec:
+    """Immutable element of a :class:`Space`, backed by a read-only float64 array.
+
+    Construction rejects NaN/Inf and wrong shapes (see :func:`checked_entries`).
+    Arithmetic is done on ``entries``.
     """
 
     __slots__ = ("space", "entries")
 
     def __init__(self, space: Space, entries):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.ndim != 1 or arr.shape[0] != space.dim:
-            raise ShapeError(f"expected {space.dim} entries, got array of shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError("vector entries must be finite (no NaN/Inf)")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", checked_entries(space, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vec is immutable")
-
-    def _check_same_space(self, other: "Vec"):
-        if not isinstance(other, Vec):
-            raise ShapeError(f"expected a Vec, got {type(other).__name__}")
-        if other.space != self.space:
-            raise ShapeError(f"space mismatch: dim {self.space.dim} vs {other.space.dim}")
-
-    def __add__(self, other: "Vec") -> "Vec":
-        self._check_same_space(other)
-        return Vec(self.space, self.entries + other.entries)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        self._check_same_space(other)
-        return Vec(self.space, self.entries - other.entries)
-
-    def __neg__(self) -> "Vec":
-        return Vec(self.space, -self.entries)
-
-    def __mul__(self, scalar) -> "Vec":
-        return Vec(self.space, self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Vec":
-        return Vec(self.space, self.entries / float(scalar))
-
-    def dot(self, other: "Vec") -> float:
-        self._check_same_space(other)
-        return float(np.dot(self.entries, other.entries))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def allclose(self, other: "Vec", atol=0.0, rtol=1e-12) -> bool:
-        self._check_same_space(other)
-        return bool(np.allclose(self.entries, other.entries, atol=atol, rtol=rtol))
 
     def __repr__(self):
         return f"Vec(dim={self.space.dim}, {self.entries!r})"
@@ -150,28 +122,25 @@ class LinearMap:
         m.matrix = d
         return m
 
-    def apply(self, x: Vec) -> Vec:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """G x."""
-        if x.space != self.domain:
-            raise ShapeError(f"map domain dim {self.domain.dim}, argument dim {x.space.dim}")
+        if x.shape != (self.domain.dim,):
+            raise ShapeError(f"map domain dim {self.domain.dim}, argument shape {x.shape}")
         if self.kind == "identity":
             return x
         if self.kind == "diagonal":
-            return Vec(self.codomain, self.matrix * x.entries)
-        return Vec(self.codomain, self.matrix @ x.entries)
+            return self.matrix * x
+        return self.matrix @ x
 
-    def apply_adjoint(self, y: Vec) -> Vec:
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """G* y, realized through the transpose."""
-        if y.space != self.codomain:
-            raise ShapeError(f"map codomain dim {self.codomain.dim}, argument dim {y.space.dim}")
+        if y.shape != (self.codomain.dim,):
+            raise ShapeError(f"map codomain dim {self.codomain.dim}, argument shape {y.shape}")
         if self.kind == "identity":
             return y
         if self.kind == "diagonal":
-            return Vec(self.domain, self.matrix * y.entries)
-        return Vec(self.domain, self.matrix.T @ y.entries)
-
-    def __call__(self, x: Vec) -> Vec:
-        return self.apply(x)
+            return self.matrix * y
+        return self.matrix.T @ y
 
     def __repr__(self):
         return f"LinearMap({self.kind}, {self.codomain.dim}x{self.domain.dim})"
@@ -199,22 +168,18 @@ class PrimalDualPoint:
     def __setattr__(self, name, value):
         raise AttributeError("PrimalDualPoint is immutable")
 
-    @property
-    def n_duals(self) -> int:
-        return len(self.w)
-
     def __repr__(self):
         return f"PrimalDualPoint(z dim={self.z.space.dim}, {len(self.w)} dual blocks)"
 
 
-def derived_wn(p: PrimalDualPoint, maps) -> Vec:
+def derived_wn(p: PrimalDualPoint, maps) -> np.ndarray:
     """The derived last dual block -sum_i G_i* w_i; zero vector when there are no duals."""
     maps = tuple(maps)
     if len(maps) != len(p.w):
         raise ShapeError(f"{len(p.w)} dual blocks but {len(maps)} maps")
-    out = p.z.space.zeros()
+    out = np.zeros(p.z.space.dim)
     for g, wi in zip(maps, p.w):
-        out = out - g.apply_adjoint(wi)
+        out = out - g.apply_adjoint(wi.entries)
     return out
 
 
@@ -224,9 +189,9 @@ def gamma_inner(p: PrimalDualPoint, q: PrimalDualPoint, gamma: float) -> float:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
     if len(p.w) != len(q.w):
         raise ShapeError(f"dual block count mismatch: {len(p.w)} vs {len(q.w)}")
-    total = gamma * p.z.dot(q.z)
+    total = gamma * float(np.dot(p.z.entries, q.z.entries))
     for wp, wq in zip(p.w, q.w):
-        total += wp.dot(wq)
+        total += float(np.dot(wp.entries, wq.entries))
     return total
 
 
@@ -238,4 +203,6 @@ def gamma_norm(p: PrimalDualPoint, gamma: float) -> float:
 def point_diff(p: PrimalDualPoint, q: PrimalDualPoint) -> PrimalDualPoint:
     if len(p.w) != len(q.w):
         raise ShapeError(f"dual block count mismatch: {len(p.w)} vs {len(q.w)}")
-    return PrimalDualPoint(p.z - q.z, tuple(wp - wq for wp, wq in zip(p.w, q.w)))
+    return PrimalDualPoint(Vec(p.z.space, p.z.entries - q.z.entries),
+                           tuple(Vec(wp.space, wp.entries - wq.entries)
+                                 for wp, wq in zip(p.w, q.w)))

@@ -119,13 +119,13 @@ def kkt_residual(spec: ProblemSpec, z: Vec, w) -> float:
     ident = spec.identity_map()
     for i in range(n):
         g = spec.maps[i] if i < n - 1 else ident
-        gz = g.apply(z)
-        wi = w[i] if i < n - 1 else wn
+        gz = g.apply(z.entries)
+        wi = w[i].entries if i < n - 1 else wn
         if i in spec.forward_blocks:
-            r = (forward_eval(spec.operators[i], gz) - wi).norm()
+            r = np.linalg.norm(forward_eval(spec.operators[i], gz) - wi)
         else:
-            r = (gz - prox_eval(spec.operators[i], 1.0, gz + wi).x).norm()
-        worst = max(worst, r)
+            r = np.linalg.norm(gz - prox_eval(spec.operators[i], 1.0, gz + wi).x)
+        worst = max(worst, float(r))
     return worst
 
 

@@ -128,7 +128,7 @@ def test_criterion_3_merely_continuous_regime(signed_sqrt_run):
     assert trace.status in ("converged", "budget")
     assert trace.iterations <= NONLIPSCHITZ_BUDGET
     final_z = trace.solution.z if trace.solution is not None else trace.final_point.z
-    assert final_z.norm() <= 1e-5
+    assert np.linalg.norm(final_z.entries) <= 1e-5
     for record in trace.records:
         assert max(record.backtracks) <= BACKTRACK_CAP
         assert all(s > 0 for s in record.stepsizes)  # decay allowed, not collapse
@@ -144,28 +144,28 @@ def test_criterion_4_backtracking_hand_traces():
                                kind="forward", rho_init=1.0)
 
     def vec(v):
-        return ps.Vec(ps.Space(1), [v])
+        return np.array([v], dtype=float)
 
     state = ps.forward_update_with_backtrack(slot(ident), vec(1.0), vec(1.0), 1.0,
                                              ps.EngineConfig())
     assert state.backtracks == 0
     assert abs(state.rho - 1.0) <= 1e-12
-    assert abs(state.x.entries[0] - 1.0) <= 1e-12
-    assert abs(state.y.entries[0] - 1.0) <= 1e-12
+    assert abs(state.x[0] - 1.0) <= 1e-12
+    assert abs(state.y[0] - 1.0) <= 1e-12
 
     state = ps.forward_update_with_backtrack(slot(ident), vec(1.0), vec(0.0), 1.0,
                                              ps.EngineConfig(delta=0.5, nu=0.5))
     assert state.backtracks == 2
     assert abs(state.rho - 0.5) <= 1e-12
-    assert abs(state.x.entries[0] - 0.5) <= 1e-12
-    assert abs(state.y.entries[0] - 0.5) <= 1e-12
+    assert abs(state.x[0] - 0.5) <= 1e-12
+    assert abs(state.y[0] - 0.5) <= 1e-12
 
     state = ps.forward_update_with_backtrack(slot(cube_), vec(1.0), vec(0.0), 1.0,
                                              ps.EngineConfig(delta=1.0, nu=0.5))
     assert state.backtracks == 3
     assert abs(state.rho - 0.25) <= 1e-12
-    assert abs(state.x.entries[0] - 0.75) <= 1e-12
-    assert abs(state.y.entries[0] - 0.421875) <= 1e-12
+    assert abs(state.x[0] - 0.75) <= 1e-12
+    assert abs(state.y[0] - 0.421875) <= 1e-12
     _report("4 (hand-computed linesearch traces)")
 
 

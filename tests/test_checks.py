@@ -5,7 +5,7 @@ import pytest
 
 import projsplit.engine
 from projsplit import (Engine, EngineConfig, ErrorPolicy, InvariantMonitor, SchedulePolicy,
-                       Vec, audit_schedule, build, prox_eval, run_with_checks)
+                       audit_schedule, build, prox_eval, run_with_checks)
 from projsplit.engine import IterationRecord
 from projsplit.operators import ProxResult
 
@@ -96,7 +96,7 @@ def test_perturbed_backward_x_breaks_update_identity(monkeypatch):
 
     def perturbed(*args):
         e, res = original(*args)
-        return e, ProxResult(Vec(res.x.space, res.x.entries + 1e-6), res.y)
+        return e, ProxResult(res.x + 1e-6, res.y)
 
     monkeypatch.setattr(projsplit.engine, "inject_error", perturbed)
     spec, _ = build("lasso", {})
@@ -124,8 +124,8 @@ def test_scaled_pi_breaks_pi_identity(monkeypatch):
 def test_unhalved_error_breaks_error_bounds(monkeypatch):
     def unhalved(policy, base_input, op, rho, z_block, w_block):
         # the first random draw, accepted without the admissibility halvings
-        direction = policy.rng.standard_normal(base_input.space.dim)
-        e = Vec(base_input.space, policy.magnitude * direction / np.linalg.norm(direction))
+        direction = policy.rng.standard_normal(base_input.shape[0])
+        e = policy.magnitude * direction / np.linalg.norm(direction)
         return e, prox_eval(op, rho, base_input + e)
 
     monkeypatch.setattr(projsplit.engine, "inject_error", unhalved)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +80,27 @@ def test_trace_is_byte_deterministic(tmp_path):
     cli.main(["run", "--config", cfg, "--out", str(tmp_path / "b")])
     assert (tmp_path / "a" / "trace.csv").read_bytes() == \
            (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+# sha256 of trace.csv for each example config (x86_64, numpy 2.4, OpenBLAS).
+# The trace records phi, pi, alpha, residuals and stepsizes at full
+# precision, so a change of arithmetic changes the hash; a change that does
+# so on purpose updates the value here and says why.
+CONFIG_TRACE_SHA256 = {
+    "lasso": "d51bbe7602994a76d7ba2ce175b8ff6e71dda88e8e56952684c2fc9af0db9899",
+    "lasso_inexact": "dd3e4024a341f958c27b6104bd5ccdaa46d5d98cb3ee621bcdafc2ad8a738372",
+    "signed_sqrt": "c3341b56362015a898435f02bda6c59a053b9ecc64fef90d412f4bbf3705df7b",
+    "box_cubic_async": "17ca0f8dc19cc7ebbdd5581c18ac4cb1f9d786c8dca762e572d863910afc1325",
+}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_TRACE_SHA256))
+def test_example_config_traces_are_unchanged(tmp_path, name):
+    assert cli.main(["run", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == CONFIG_TRACE_SHA256[name]
 
 
 def test_seed_override_changes_the_run(tmp_path):

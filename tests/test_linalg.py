@@ -16,7 +16,7 @@ def test_space_requires_positive_integer_dim():
         Space(0)
     with pytest.raises(ShapeError):
         Space(-3)
-    assert Space(4).zeros().norm() == 0.0
+    assert np.linalg.norm(Space(4).zeros().entries) == 0.0
 
 
 def test_vec_rejects_nan_inf_and_bad_shapes():
@@ -37,29 +37,22 @@ def test_vec_is_immutable():
         v.entries[0] = 5.0
 
 
-def test_vec_arithmetic_requires_matching_space():
-    with pytest.raises(ShapeError):
-        vec(1.0) + vec(1.0, 2.0)
-    with pytest.raises(ShapeError):
-        vec(1.0).dot(vec(1.0, 2.0))
-
-
 def test_derived_wn_single_identity_block():
     p = PrimalDualPoint(vec(0.0), (vec(3.0),))
     wn = derived_wn(p, (LinearMap.identity(Space(1)),))
-    assert wn.entries == pytest.approx([-3.0])
+    assert wn == pytest.approx([-3.0])
 
 
 def test_derived_wn_empty_sum_convention():
     p = PrimalDualPoint(vec(1.0, 2.0))
-    assert derived_wn(p, ()).norm() == 0.0
+    assert np.linalg.norm(derived_wn(p, ())) == 0.0
 
 
 def test_derived_wn_mixed_maps():
     # -(I*1 + diag(2)*1) = -3
     p = PrimalDualPoint(vec(0.0), (vec(1.0), vec(1.0)))
     maps = (LinearMap.identity(Space(1)), LinearMap.diagonal([2.0]))
-    assert derived_wn(p, maps).entries == pytest.approx([-3.0])
+    assert derived_wn(p, maps) == pytest.approx([-3.0])
 
 
 def test_gamma_inner_examples():
@@ -87,9 +80,9 @@ def test_gamma_norm_examples():
 
 def test_apply_examples():
     g = LinearMap([[1.0, 2.0], [0.0, 1.0]])
-    x = vec(1.0, 1.0)
-    assert g.apply(x).entries == pytest.approx([3.0, 1.0])
-    assert g.apply_adjoint(vec(1.0, 1.0)).entries == pytest.approx([1.0, 3.0])
+    x = np.array([1.0, 1.0])
+    assert g.apply(x) == pytest.approx([3.0, 1.0])
+    assert g.apply_adjoint(np.array([1.0, 1.0])) == pytest.approx([1.0, 3.0])
     ident = LinearMap.identity(Space(2))
     assert ident.apply(x) is x  # structural identity is free
 
@@ -97,9 +90,9 @@ def test_apply_examples():
 def test_apply_dimension_mismatch():
     g = LinearMap(np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        g.apply(vec(1.0, 2.0, 3.0))
+        g.apply(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeError):
-        g.apply_adjoint(vec(1.0, 2.0))
+        g.apply_adjoint(np.array([1.0, 2.0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,11 +101,11 @@ def test_adjoint_consistency_random_maps(seed, m, d):
     rng = np.random.default_rng(seed)
     g = LinearMap(rng.standard_normal((m, d)))
     for _ in range(100):
-        x = Vec(g.domain, rng.standard_normal(d))
-        y = Vec(g.codomain, rng.standard_normal(m))
-        lhs = g.apply(x).dot(y)
-        rhs = x.dot(g.apply_adjoint(y))
-        assert abs(lhs - rhs) <= 1e-10 * (1.0 + x.norm() * y.norm())
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(m)
+        lhs = np.dot(g.apply(x), y)
+        rhs = np.dot(x, g.apply_adjoint(y))
+        assert abs(lhs - rhs) <= 1e-10 * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
 
 
 def _random_point(rng, d0, d1, scale=1.0):
@@ -128,7 +121,8 @@ def test_gamma_inner_symmetric_and_bilinear(seed, gamma):
     a, b = rng.uniform(-2, 2, 2)
     scale = max(1.0, gamma_norm(p, gamma) * gamma_norm(q, gamma))
     assert abs(gamma_inner(p, q, gamma) - gamma_inner(q, p, gamma)) <= 1e-12 * scale
-    combo = PrimalDualPoint(a * q.z + b * r.z, (a * q.w[0] + b * r.w[0],))
+    combo = PrimalDualPoint(Vec(Space(3), a * q.z.entries + b * r.z.entries),
+                            (Vec(Space(2), a * q.w[0].entries + b * r.w[0].entries),))
     expanded = a * gamma_inner(p, q, gamma) + b * gamma_inner(p, r, gamma)
     bound = 1e-12 * max(1.0, abs(expanded))
     assert abs(gamma_inner(p, combo, gamma) - expanded) <= bound
@@ -148,11 +142,15 @@ def test_derived_wn_additive_in_w(seed):
     rng = np.random.default_rng(seed)
     maps = (LinearMap(rng.standard_normal((3, 2))), LinearMap.diagonal(rng.standard_normal(2)))
     z = Vec(Space(2), rng.standard_normal(2))
-    w_a = (Vec(Space(3), rng.standard_normal(3)), Vec(Space(2), rng.standard_normal(2)))
-    w_b = (Vec(Space(3), rng.standard_normal(3)), Vec(Space(2), rng.standard_normal(2)))
-    lhs = derived_wn(PrimalDualPoint(z, tuple(a + b for a, b in zip(w_a, w_b))), maps)
-    rhs = derived_wn(PrimalDualPoint(z, w_a), maps) + derived_wn(PrimalDualPoint(z, w_b), maps)
-    assert (lhs - rhs).norm() <= 1e-12 * (1.0 + rhs.norm())
+    w_a = (rng.standard_normal(3), rng.standard_normal(2))
+    w_b = (rng.standard_normal(3), rng.standard_normal(2))
+
+    def point(w):
+        return PrimalDualPoint(z, tuple(Vec(Space(wi.shape[0]), wi) for wi in w))
+
+    lhs = derived_wn(point(tuple(a + b for a, b in zip(w_a, w_b))), maps)
+    rhs = derived_wn(point(w_a), maps) + derived_wn(point(w_b), maps)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1.0 + np.linalg.norm(rhs))
 
 
 def test_point_diff():
