@@ -17,7 +17,8 @@ from .linalg import (LinearMap, PrimalDualPoint, Space, Vec, derived_wn, gamma_i
                      gamma_norm, point_diff)
 from .operators import (ErrorPolicy, MonotoneOperator, affine_monotone, box_normal_cone, cube,
                         error_inequality_gaps, forward_eval, gradient_quadratic, inject_error,
-                        l1_subdifferential, prox_eval, signed_sqrt, zero_op)
+                        l1_subdifferential, prox_eval, shifted_identity, signed_sqrt,
+                        zero_op)
 from .problems import (ProblemSpec, build, kkt_residual, make_box_cubic, make_lasso,
                        make_signed_sqrt, make_skew_composed)
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks

@@ -12,7 +12,10 @@ no checking) and checks, every iteration:
 * update-identity-- each block update reproduces its defining equation;
 * projection     -- an unrelaxed projection lands on the zero hyperplane;
 * error-bounds   -- injected prox errors satisfied their admissibility
-                    inequalities.
+                    inequalities;
+* stepsize-bound -- each forward block's accepted stepsize is at most its
+                    rho_init and at most its previous one divided by nu,
+                    so trial stepsizes stay bounded above.
 
 The identities are recomputed from what the engine hands over by
 reference: the inputs each updated :class:`~projsplit.engine.BlockState`
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BlockState, Engine, IterationRecord, SeparatorEval, separator_gradient
+from .engine import BlockState, Engine, IterationRecord, SeparatorEval
 from .errors import ShapeError
-from .linalg import PrimalDualPoint, derived_wn, gamma_norm, point_diff
+from .linalg import PrimalDualPoint, derived_wn, gamma_norm, weighted_norm
 from .operators import ProxResult, error_inequality_gaps
 
 
@@ -72,8 +75,14 @@ def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
 
 def pi_gap(sep: SeparatorEval, gamma: float) -> float:
     """Relative mismatch between pi and the squared gamma-norm of the gradient."""
-    grad_sq = gamma_norm(separator_gradient(sep, gamma), gamma) ** 2
+    grad_sq = weighted_norm(sep.v / gamma, sep.u, gamma) ** 2
     return abs(sep.pi - grad_sq) / max(sep.pi, grad_sq, 1e-300)
+
+
+def distance(p: PrimalDualPoint, q: PrimalDualPoint, gamma: float) -> float:
+    """The gamma-norm of p - q."""
+    return weighted_norm(p.z.entries - q.z.entries,
+                         [wp.entries - wq.entries for wp, wq in zip(p.w, q.w)], gamma)
 
 
 def update_gap(block: BlockState, kind: str) -> float:
@@ -119,7 +128,9 @@ class InvariantMonitor:
     the self-contained identities are verified. The monitor assumes the run
     starts from the problem's stored initial point unless ``initial_point``
     says otherwise. After each step it reads the engine's state: the blocks
-    updated in that iteration and ``engine.separator``.
+    updated in that iteration and ``engine.separator``. Until it has seen a
+    forward block's first update, it takes that block's previous stepsize
+    to be its ``rho_init``, as the engine's initial block states do.
     """
 
     def __init__(self, problem, gamma: float, reference=None, *,
@@ -132,13 +143,14 @@ class InvariantMonitor:
                          update=update_tol, projection=projection_tol, error=error_tol)
         self._acc = {name: _Accumulator(name) for name in
                      ("separation", "fejer", "pi-identity", "update-identity",
-                      "projection", "error-bounds")}
+                      "projection", "error-bounds", "stepsize-bound")}
+        self._last_rho: dict[int, float] = {}
         if reference is not None:
             self.ref_point = reference.point
             self.ref_scale = 1.0 + gamma_norm(self.ref_point, gamma)
             start = initial_point if initial_point is not None else \
                 PrimalDualPoint(problem.z_init, problem.w_init)
-            self._prev_dist = gamma_norm(point_diff(start, self.ref_point), gamma)
+            self._prev_dist = distance(start, self.ref_point, gamma)
         else:
             self.ref_point = None
             self._prev_dist = None
@@ -153,6 +165,11 @@ class InvariantMonitor:
             if kind == "backward":
                 self._acc["error-bounds"].observe(
                     error_gap(block, engine.error_policy.sigma) - self.tols["error"], k)
+            else:
+                rho_init = engine.slots[i].rho_init
+                bound = min(rho_init, self._last_rho.get(i, rho_init) / engine.config.nu)
+                self._acc["stepsize-bound"].observe(block.rho - bound, k)
+                self._last_rho[i] = block.rho
 
         if record.projected and record.phi > 0.0 and record.beta == 1.0:
             landed = affine_value(engine.blocks, engine.problem.maps, engine.point)
@@ -162,7 +179,7 @@ class InvariantMonitor:
         if self.ref_point is not None:
             sep_val = affine_value(engine.blocks, engine.problem.maps, self.ref_point)
             self._acc["separation"].observe(sep_val - self.tols["separation"] * self.ref_scale, k)
-            dist = gamma_norm(point_diff(engine.point, self.ref_point), self.gamma)
+            dist = distance(engine.point, self.ref_point, self.gamma)
             self._acc["fejer"].observe(dist - self._prev_dist - self.tols["fejer"], k)
             self._prev_dist = dist
 

@@ -6,8 +6,9 @@ Subcommands:
   list-problems  show the registered problem kinds
 
 Exit codes: 0 converged or exact termination, 1 usage/configuration error,
-2 iteration budget exhausted, 3 assumption violation (linesearch budget),
-4 invariant check failure (verify only).
+2 iteration budget exhausted, 3 assumption violation (linesearch budget,
+NaN/Inf from an operator), 4 invariant check failure (verify only; a
+verify whose checks all pass exits with its run's code).
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def _load(config_path: str, args) -> tuple[RunConfig, object, object]:
     return cfg, spec, ref
 
 
+def _print_message(trace: RunTrace):
+    if trace.message:
+        print(f"{trace.status}: {trace.message}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cfg, spec, _ = _load(args.config, args)
     engine = Engine(spec, cfg.engine, cfg.schedule, cfg.errors)
@@ -83,6 +89,7 @@ def cmd_run(args) -> int:
     write_summary_json(out_dir / cfg.summary_filename, trace, cfg)
     print(f"{cfg.problem_kind}: {trace.status} after {trace.iterations} iterations "
           f"(primal {trace.max_primal_residual:.3e}, dual {trace.max_dual_residual:.3e})")
+    _print_message(trace)
     return _STATUS_EXIT[trace.status]
 
 
@@ -90,6 +97,7 @@ def cmd_verify(args) -> int:
     cfg, spec, ref = _load(args.config, args)
     trace, results = run_with_checks(spec, ref, cfg.engine, cfg.schedule, cfg.errors)
     print(f"{cfg.problem_kind}: {trace.status} after {trace.iterations} iterations")
+    _print_message(trace)
     for res in results:
         print(res.line())
     failures = [r for r in results if not r.passed]
@@ -100,7 +108,7 @@ def cmd_verify(args) -> int:
               (f"; earliest failing iteration: {first}" if first is not None else ""))
         return 4
     print("all checks passed")
-    return 0
+    return _STATUS_EXIT[trace.status]
 
 
 def cmd_list_problems(_args) -> int:

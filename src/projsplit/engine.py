@@ -10,11 +10,27 @@ shrinking rho geometrically until the accepted-slope test
 
     delta*||theta - x~||^2 - <theta - x~, T(x~) - w> <= 0
 
-holds. The block results define an affine separator that is nonpositive on
-the solution set; the iterate is then projected onto its zero hyperplane,
+holds. A trial whose T(x~) is NaN/Inf fails too: under continuity it only
+means the step was too long.
+
+The linesearch is warm-started. A forward block's search begins at
+
+    min(rho_init, rho_prev/nu),
+
+one shrink factor above the stepsize the block accepted last time, so an
+iteration does not repeat the trials its predecessor already failed. Every
+trial stepsize stays bounded above by rho_init, which is all the
+convergence theory asks of them. The first search begins at rho_init,
+since initial block states carry rho = rho_init.
+
+The block results define an affine separator that is nonpositive on the
+solution set; the iterate is then projected onto its zero hyperplane,
 scaled by an overrelaxation factor. The loop stops on small residuals, on
 an exactly-zero separator gradient (which certifies the block values as a
-solution), or on the iteration budget.
+solution), or on the iteration budget. A run ends with the status
+``assumption-violation`` when a linesearch exhausts its trial budget, when
+an operator returns NaN/Inf at G z or from a prox, or when NaN/Inf reaches
+the separator or the projection.
 
 The engine computes only what the iteration needs. The identities that
 verify it (update equations, gradient norm, error admissibility) are
@@ -34,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BacktrackLimitError, ConfigError, ShapeError
+from .errors import AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError
 # gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py wraps them here
 from .linalg import PrimalDualPoint, Space, Vec, derived_wn, gamma_norm  # noqa: F401
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
@@ -49,10 +65,13 @@ class EngineConfig:
     projection overrelaxation, kept inside [beta_lo, beta_hi] with
     0 < beta_lo <= beta_hi < 2. nu in (0,1) is the linesearch shrink factor
     and delta > 0 its acceptance threshold. rho_init (scalar or per-block)
-    is the initial trial stepsize, required to stay inside
-    [rho_min, rho_max]. quickstop_eps is the relative tolerance for the
-    immediate-accept branch of the linesearch, and pi_zero_eps the threshold
-    below which the separator gradient is treated as exactly zero.
+    is required to stay inside [rho_min, rho_max]. It is a backward block's
+    prox stepsize. For a forward block it caps every linesearch trial: the
+    search starts at min(rho_init, rho_prev/nu), where rho_prev is the
+    block's last accepted stepsize (rho_init before its first update).
+    quickstop_eps is the relative tolerance for the immediate-accept branch
+    of the linesearch, and pi_zero_eps the threshold below which the
+    separator gradient is treated as exactly zero.
     """
 
     gamma: float = 1.0
@@ -232,9 +251,11 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     If T(G z) already matches w (to quickstop tolerance) the pair is
     accepted immediately with the initial stepsize and a count of zero.
     Otherwise trials j = 1, 2, ... evaluate the candidate at stepsize
-    rho_init * nu^(j-1) until the accepted-slope test holds; exceeding the
-    trial budget raises :class:`BacktrackLimitError`, since finiteness is
-    guaranteed whenever the operator really is continuous.
+    rho_init * nu^(j-1) until the accepted-slope test holds. A trial whose
+    T(x~) is NaN/Inf counts as failed. Exceeding the trial budget raises
+    :class:`~projsplit.errors.BacktrackLimitError`, since finiteness is
+    guaranteed whenever the operator really is continuous. A NaN/Inf
+    T(G z) raises :class:`~projsplit.errors.NonFiniteError`.
     """
     theta = slot.map.apply(z_delayed)
     zeta = forward_eval(slot.op, theta)
@@ -248,13 +269,17 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
             count += 1
             if count > config.max_backtracks:
                 raise BacktrackLimitError(
-                    f"block {slot.index}: linesearch exceeded {config.max_backtracks} trials "
-                    f"(operator '{slot.op.name}' may violate the continuity assumption)")
+                    f"linesearch exceeded {config.max_backtracks} trials "
+                    "(the operator may violate the continuity assumption)")
             x_try = theta - rho * drift
-            y_try = forward_eval(slot.op, x_try)
-            gap = theta - x_try
-            if config.delta * np.dot(gap, gap) - np.dot(gap, y_try - w_delayed) <= 0.0:
-                break
+            try:
+                y_try = forward_eval(slot.op, x_try)
+            except NonFiniteError:
+                pass  # under continuity, NaN/Inf at x~ only means the step was too long
+            else:
+                gap = theta - x_try
+                if config.delta * np.dot(gap, gap) - np.dot(gap, y_try - w_delayed) <= 0.0:
+                    break
             rho = config.nu * rho
         x, y, rho_hat = x_try, y_try, rho
     return BlockState(x=x, y=y, rho=rho_hat, backtracks=count, theta=theta, w=w_delayed,
@@ -276,8 +301,9 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
         phi(p) = <z, v> + sum_i <w_i, u_i> - sum_i <x_i, y_i>.
 
     The steplength is beta*max(0, phi)/pi when pi > 0 and zero otherwise.
-    Raises :class:`ShapeError` when pi or phi is not finite: a block value
-    overflowed or is NaN/Inf, and the steplength would be meaningless.
+    Raises :class:`~projsplit.errors.NonFiniteError` when pi or phi is not
+    finite: a block value overflowed or is NaN/Inf, and the steplength
+    would be meaningless.
     """
     n = len(blocks)
     x_n, y_n = blocks[-1].x, blocks[-1].y
@@ -293,12 +319,12 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
     for b in blocks:
         phi -= float(np.dot(b.x, b.y))
     if not (math.isfinite(pi) and math.isfinite(phi)):
-        raise ShapeError(f"separator is not finite (pi={pi}, phi={phi})")
+        raise NonFiniteError(f"separator is not finite (pi={pi}, phi={phi})")
     alpha = beta * max(0.0, phi) / pi if pi > 0.0 else 0.0
     return SeparatorEval(u=u, v=v, pi=pi, phi_at_p=phi, alpha=alpha)
 
 
-# verification only (the monitor's pi-identity); perfbench/tracing.py looks it up here
+# not called by the solver: perfbench/tracing.py looks it up here
 def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
     """The separator gradient as a point in the product space: (v/gamma, u)."""
     v = sep.v / gamma
@@ -434,17 +460,25 @@ class Engine:
                 w_d = stale.w[i].entries
             else:
                 w_d = wn if d == k else derived_wn(stale, maps)
-            if slot.kind == "backward":
-                self.blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init,
-                                                 self.error_policy)
-            else:
-                self.blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, slot.rho_init,
-                                                               cfg)
+            try:
+                if slot.kind == "backward":
+                    self.blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init,
+                                                     self.error_policy)
+                else:
+                    rho_start = min(slot.rho_init, self.blocks[i].rho / cfg.nu)
+                    self.blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start,
+                                                                   cfg)
+            except (NonFiniteError, BacktrackLimitError) as exc:
+                raise _violation(k, slot, exc) from exc
         self.covered.update(selected)
 
         beta_k = self._beta_at(k)
-        sep = self.separator = evaluate_separator(self.blocks, self.point, maps, cfg.gamma,
-                                                  beta_k)
+        try:
+            sep = self.separator = evaluate_separator(self.blocks, self.point, maps,
+                                                      cfg.gamma, beta_k)
+        except NonFiniteError as exc:
+            culprit = self.slots[_largest_block(self.blocks)]
+            raise _violation(k, culprit, exc, "; this block has the largest value") from exc
 
         # a zero-delay update read iterate k, so its theta already is G_i z
         current = {i for i, d in zip(selected, delays) if d == k}
@@ -481,16 +515,22 @@ class Engine:
         if converged:
             return StepOutcome("converged", self.point)
         if projected:
-            self.point = project(self.point, sep, cfg.gamma, self.alpha_hook)
+            try:
+                self.point = project(self.point, sep, cfg.gamma, self.alpha_hook)
+            except NonFiniteError as exc:
+                raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         # pi ~ 0 without full coverage: zero steplength, point carries over
         self.history.store(k + 1, self.point)
         return StepOutcome("continue")
 
     def run(self, callback=None) -> RunTrace:
-        """Iterate to a terminal outcome; never raises for linesearch failure.
+        """Iterate to a terminal outcome.
 
-        ``callback(engine, record)`` fires after every completed iteration,
-        once the projection (if any) has been applied.
+        A linesearch that exhausts its trial budget and a NaN/Inf from an
+        operator end the run with status ``assumption-violation`` and a
+        message that names the iteration, the block and its operator; they
+        do not raise. ``callback(engine, record)`` fires after every
+        completed iteration, once the projection (if any) has been applied.
         """
         t0 = time.perf_counter()
         status, solution, message = "budget", None, ""
@@ -504,11 +544,25 @@ class Engine:
                 if out.kind != "continue":
                     status, solution = out.kind, out.solution
                     break
-        except BacktrackLimitError as exc:
+        except AssumptionViolationError as exc:
             status, message = "assumption-violation", str(exc)
         return RunTrace(status=status, iterations=len(self.records), records=self.records,
                         solution=solution, final_point=self.point, message=message,
                         wall_time=time.perf_counter() - t0)
+
+
+def _violation(k: int, slot: OperatorSlot, exc: Exception,
+               note: str = "") -> AssumptionViolationError:
+    return AssumptionViolationError(
+        f"iteration {k}, block {slot.index} (operator '{slot.op.name}'): {exc}{note}")
+
+
+def _largest_block(blocks) -> int:
+    """Index of the block whose x or y has the largest entry; NaN counts as largest."""
+    def size(b):
+        entries = np.abs(np.concatenate((b.x, b.y)))
+        return math.inf if np.isnan(entries).any() else float(entries.max())
+    return max(range(len(blocks)), key=lambda i: size(blocks[i]))
 
 
 def run(problem, config: EngineConfig | None = None,

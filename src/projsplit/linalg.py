@@ -7,9 +7,10 @@ gamma-weighted inner product
 
     <(z1, w1), (z2, w2)>_gamma = gamma*<z1, z2> + sum_i <w1_i, w2_i>.
 
-Maps and :func:`derived_wn` work on float64 arrays. :class:`Vec` and
-:class:`PrimalDualPoint` hold only public values and the stored iterate;
-their entries, like every operator output, pass :func:`checked_entries`.
+Maps, :func:`derived_wn` and :func:`weighted_norm` work on float64 arrays.
+:class:`Vec` and :class:`PrimalDualPoint` hold only public values and the
+stored iterate; their entries, like every operator output, pass
+:func:`checked_entries`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ def checked_entries(space: Space, entries) -> np.ndarray:
     """A read-only float64 copy of ``entries``, checked to be a finite element of ``space``.
 
     A 0-d value counts as one entry. Raises :class:`ShapeError` on a wrong
-    shape or on NaN/Inf.
+    shape and its subclass :class:`NonFiniteError` on NaN/Inf.
     """
     arr = np.asarray(entries, dtype=float)
     if arr.ndim == 0:
@@ -47,7 +48,7 @@ def checked_entries(space: Space, entries) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] != space.dim:
         raise ShapeError(f"expected {space.dim} entries, got array of shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ShapeError("vector entries must be finite (no NaN/Inf)")
+        raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -197,7 +198,17 @@ def gamma_inner(p: PrimalDualPoint, q: PrimalDualPoint, gamma: float) -> float:
 
 def gamma_norm(p: PrimalDualPoint, gamma: float) -> float:
     """Norm induced by :func:`gamma_inner`."""
-    return float(np.sqrt(gamma_inner(p, p, gamma)))
+    if gamma <= 0:
+        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    return weighted_norm(p.z.entries, [wi.entries for wi in p.w], gamma)
+
+
+def weighted_norm(z: np.ndarray, w, gamma: float) -> float:
+    """The gamma-norm sqrt(gamma*||z||^2 + sum_i ||w_i||^2) of a pair of arrays."""
+    total = gamma * float(np.dot(z, z))
+    for wi in w:
+        total += float(np.dot(wi, wi))
+    return float(np.sqrt(total))
 
 
 def point_diff(p: PrimalDualPoint, q: PrimalDualPoint) -> PrimalDualPoint:

@@ -218,6 +218,22 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
     return MonotoneOperator(Space(dim), forward=fwd, prox=prox, name="affine")
 
 
+def shifted_identity(shift) -> MonotoneOperator:
+    """T(x) = x + b: :func:`affine_monotone` with M = I, at O(dim) cost per evaluation.
+
+    The resolvent is (a - rho*b)/(1 + rho).
+    """
+    b = np.asarray(shift, dtype=float).reshape(-1)
+
+    def fwd(x):
+        return x + b
+
+    def prox(a, rho):
+        return (a - rho * b) / (1.0 + rho)
+
+    return MonotoneOperator(Space(b.shape[0]), forward=fwd, prox=prox, name="shifted-identity")
+
+
 def gradient_quadratic(design, target) -> MonotoneOperator:
     """Gradient of the least-squares loss 0.5*||A x - b||^2: T(x) = A^T(A x - b)."""
     a_mat = np.asarray(design, dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .linalg import LinearMap, PrimalDualPoint, Space, Vec, derived_wn
 from .operators import (MonotoneOperator, affine_monotone, box_normal_cone, forward_eval,
-                        l1_subdifferential, prox_eval, zero_op)
+                        l1_subdifferential, prox_eval, shifted_identity, zero_op)
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
     m, d = a_mat.shape
     if b.shape[0] != m:
         raise ShapeError(f"target length {b.shape[0]} does not match {m} rows")
-    t_res = affine_monotone(np.eye(m), -b)
+    t_res = shifted_identity(-b)
     t_reg = l1_subdifferential(lam, d)
     spec = ProblemSpec(
         name="lasso",

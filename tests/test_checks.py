@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import projsplit.engine
-from projsplit import (Engine, EngineConfig, ErrorPolicy, InvariantMonitor, SchedulePolicy,
-                       audit_schedule, build, prox_eval, run_with_checks)
+from projsplit import (Engine, EngineConfig, ErrorPolicy, InvariantMonitor, LinearMap,
+                       MonotoneOperator, ProblemSpec, SchedulePolicy, Space, Vec,
+                       audit_schedule, build, prox_eval, run_with_checks, zero_op)
 from projsplit.engine import IterationRecord
 from projsplit.operators import ProxResult
 
@@ -20,7 +21,8 @@ def test_healthy_run_passes_all_checks():
     assert trace.status == "converged"
     named = _results_by_name(results)
     assert set(named) == {"separation", "fejer", "pi-identity", "update-identity",
-                          "projection", "error-bounds", "coverage", "staleness"}
+                          "projection", "error-bounds", "stepsize-bound", "coverage",
+                          "staleness"}
     assert all(r.passed for r in results)
 
 
@@ -135,6 +137,29 @@ def test_unhalved_error_breaks_error_bounds(monkeypatch):
     assert not named["error-bounds"].passed
     assert named["error-bounds"].first_failure == 1
     assert named["update-identity"].passed  # the error is part of the prox input
+
+
+def test_start_above_the_bound_breaks_stepsize_bound(monkeypatch):
+    # identity drift with delta = 1/2 accepts any rho <= 2/3; started at
+    # 4*rho_init = 1 instead of 0.25, the search accepts 0.5 > rho_init
+    original = projsplit.engine.forward_update_with_backtrack
+
+    def started_high(slot, z, w, rho_start, cfg):
+        return original(slot, z, w, 4.0 * rho_start, cfg)
+
+    monkeypatch.setattr(projsplit.engine, "forward_update_with_backtrack", started_high)
+    space = Space(1)
+    ident = MonotoneOperator(space, forward=lambda x: x, name="identity")
+    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(space),),
+                       operators=(ident, zero_op(1)), forward_blocks=frozenset({0}),
+                       z_init=Vec(space, [1.0]), w_init=(space.zeros(),))
+    eng = Engine(spec, EngineConfig(delta=0.5, rho_init=(0.25, 1.0), max_iters=5))
+    mon = InvariantMonitor(spec, 1.0)
+    eng.run(callback=mon)
+    named = _results_by_name(mon.results())
+    assert not named["stepsize-bound"].passed
+    assert named["stepsize-bound"].first_failure == 1
+    assert named["update-identity"].passed
 
 
 def _record(iteration, selected, delays):

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from projsplit import cli
+from projsplit import cli, problems
 from projsplit.checks import CheckResult
+from test_engine import cube_overflow_problem, overflow_problem
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -86,11 +88,14 @@ def test_trace_is_byte_deterministic(tmp_path):
 # The trace records phi, pi, alpha, residuals and stepsizes at full
 # precision, so a change of arithmetic changes the hash; a change that does
 # so on purpose updates the value here and says why.
+# Last update: the warm-started linesearch. On lasso, lasso_inexact and
+# box_cubic_async only the bt_1 column changed (the iterates are bitwise the
+# same); signed_sqrt follows a new trajectory (619 iterations, was 1458).
 CONFIG_TRACE_SHA256 = {
-    "lasso": "d51bbe7602994a76d7ba2ce175b8ff6e71dda88e8e56952684c2fc9af0db9899",
-    "lasso_inexact": "dd3e4024a341f958c27b6104bd5ccdaa46d5d98cb3ee621bcdafc2ad8a738372",
-    "signed_sqrt": "c3341b56362015a898435f02bda6c59a053b9ecc64fef90d412f4bbf3705df7b",
-    "box_cubic_async": "17ca0f8dc19cc7ebbdd5581c18ac4cb1f9d786c8dca762e572d863910afc1325",
+    "lasso": "74de62c4c75f863b4d3a61179e2896cd69f5cc2a93c4e3b9dbd133a29ca6379b",
+    "lasso_inexact": "e503383ac1e42aa463cb107db0f9db3678fe96a2e9326311d6f044e63b3a9595",
+    "signed_sqrt": "b84ec6e7c9c51f16cbab6dc5cfab606186d1708d9abfd751e789327f5cdf7c32",
+    "box_cubic_async": "79da505c73d0cc27d362d968c47a3a1632644b598dd10578b18cbc03d9728492",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -119,7 +124,7 @@ def test_verify_passes_on_lasso(tmp_path, capsys):
     assert cli.main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
     for name in ("separation", "fejer", "pi-identity", "update-identity",
-                 "projection", "error-bounds", "coverage", "staleness"):
+                 "projection", "error-bounds", "stepsize-bound", "coverage", "staleness"):
         assert name in out
     assert "all checks passed" in out
 
@@ -128,6 +133,25 @@ def test_verify_signed_sqrt_linesearch_stays_finite(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problem": {"kind": "signed_sqrt", "dim": 3},
                                   "engine": {"max_iters": 5000}})
     assert cli.main(["verify", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("make_spec", [overflow_problem, cube_overflow_problem],
+                         ids=["diagonal", "cube"])
+def test_overflow_exits_3_with_a_message(tmp_path, capsys, monkeypatch, make_spec):
+    # a NaN/Inf met in a run is an assumption violation, not a traceback
+    monkeypatch.setitem(problems.PROBLEMS, "overflow", (lambda params: (make_spec(), None), ""))
+    cfg = write_config(tmp_path, {"problem": {"kind": "overflow"}, "engine": {"max_iters": 5}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert "assumption-violation after 0 iterations" in out
+    assert err.startswith("assumption-violation: iteration 1, block 0 (operator ")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "assumption-violation"
+    # verify's checks pass on the iterations that completed; the run's status decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["verify", "--config", cfg]) == 3
 
 
 def test_verify_reports_failures_with_exit_4(tmp_path, capsys, monkeypatch):

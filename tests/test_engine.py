@@ -5,10 +5,11 @@ import pytest
 
 from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, ErrorPolicy,
                        LinearMap, MonotoneOperator, OperatorSlot, PrimalDualPoint,
-                       ProblemSpec, SchedulePolicy, ShapeError, Space, Vec, affine_monotone,
-                       affine_value, backward_update, box_normal_cone, build,
-                       evaluate_separator, forward_update_with_backtrack, kkt_residual,
-                       l1_subdifferential, project, run, zero_op)
+                       ProblemSpec, SchedulePolicy, Space, Vec, affine_monotone, affine_value,
+                       backward_update, box_normal_cone, build, cube, evaluate_separator,
+                       forward_update_with_backtrack, kkt_residual, l1_subdifferential,
+                       project, run, zero_op)
+from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import update_gap
 from projsplit.engine import BlockState
 
@@ -140,6 +141,31 @@ def test_forward_accepted_step_satisfies_slope_test_and_geometry():
         assert cfg.delta * np.dot(gap, gap) - np.dot(gap, state.y - w) <= 1e-12
         assert state.rho == pytest.approx(1.0 * cfg.nu ** (state.backtracks - 1))
         assert state.rho <= 1.0
+
+
+def test_forward_non_finite_trial_counts_as_failed():
+    # identity drift that is NaN below -2 and Inf above 2: under continuity
+    # such a trial was too long, so the search shrinks rho and goes on
+    def patchy(x):
+        with np.errstate(invalid="ignore"):
+            return np.where(x < -2.0, np.nan, np.where(x > 2.0, np.inf, x))
+
+    op = MonotoneOperator(Space(1), forward=patchy, name="patchy")
+    cfg = EngineConfig(delta=0.5, nu=0.5)
+    # from z = +-1, rho = 4 gives x~ = -+3 (NaN, Inf); 2 and 1 fail the slope
+    # test, 0.5 passes
+    for z in (1.0, -1.0):
+        state = forward_update_with_backtrack(slot(op, "forward"), arr(z), arr(0.0), 4.0, cfg)
+        assert state.backtracks == 4
+        assert state.rho == 0.5
+        assert state.x[0] == 0.5 * z and state.y[0] == 0.5 * z
+
+
+def test_forward_non_finite_value_at_theta_raises():
+    op = MonotoneOperator(Space(1), forward=lambda x: np.full_like(x, np.inf), name="inf")
+    with pytest.raises(NonFiniteError):
+        forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0,
+                                      EngineConfig())
 
 
 def test_forward_discontinuous_operator_exhausts_budget():
@@ -295,16 +321,99 @@ def test_run_backtrack_limit_becomes_assumption_violation():
     assert "linesearch" in trace.message
 
 
-def test_non_finite_block_value_raises():
-    # G z overflows; the box resolvent clips it to a finite x, but the
-    # derived y = (a - x)/rho is inf and must not reach the projection
+def overflow_problem():
+    """G z overflows; the box resolvent clips it to a finite x, but the
+    derived y = (a - x)/rho is inf and must not reach the projection."""
     space = Space(2)
-    spec = ProblemSpec(name="overflow", maps=(LinearMap.diagonal([1e300, 1e300]),),
+    return ProblemSpec(name="overflow", maps=(LinearMap.diagonal([1e300, 1e300]),),
                        operators=(box_normal_cone([-1.0, -1.0], [1.0, 1.0]), zero_op(2)),
                        forward_blocks=frozenset(), z_init=Vec(space, [1e10, 1e10]),
                        w_init=(space.zeros(),))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeError):
-        run(spec, EngineConfig(max_iters=5))
+
+
+def cube_overflow_problem():
+    """cube(2) from z = (1e40, 1e40): T(z) = 1e120 is finite, but the first
+    ~60 trial outputs overflow, and the search needs 267 trials in all."""
+    space = Space(2)
+    return ProblemSpec(name="cube-overflow", maps=(LinearMap.identity(space),),
+                       operators=(cube(2), zero_op(2)), forward_blocks=frozenset({0}),
+                       z_init=Vec(space, [1e40, 1e40]), w_init=(space.zeros(),))
+
+
+def test_non_finite_block_value_raises():
+    # Engine.step raises; run() turns it into a status naming where it happened
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AssumptionViolationError, match="separator is not finite"):
+            Engine(overflow_problem(), EngineConfig(max_iters=5)).step()
+        trace = run(overflow_problem(), EngineConfig(max_iters=5))
+    assert trace.status == "assumption-violation"
+    assert trace.message.startswith("iteration 1, block 0 (operator 'box-normal-cone')")
+
+
+def test_overflowing_linesearch_ends_in_a_status():
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run(cube_overflow_problem(), EngineConfig(max_iters=5))
+    assert trace.status == "assumption-violation"
+    assert trace.message.startswith("iteration 1, block 0 (operator 'cube')")
+    assert "linesearch exceeded 200 trials" in trace.message
+
+
+def test_non_finite_value_at_theta_ends_in_a_status():
+    space = Space(1)
+    blowup = MonotoneOperator(space, forward=lambda x: np.where(x > 0.5, np.inf, x),
+                              name="blowup")
+    spec = ProblemSpec(name="blowup", maps=(LinearMap.identity(space),),
+                       operators=(blowup, zero_op(1)), forward_blocks=frozenset({0}),
+                       z_init=vec(1.0), w_init=(vec(0.0),))
+    trace = run(spec, EngineConfig(max_iters=5))
+    assert trace.status == "assumption-violation"
+    assert trace.message == ("iteration 1, block 0 (operator 'blowup'): "
+                             "vector entries must be finite (no NaN/Inf)")
+
+
+def test_overflowing_projection_ends_in_a_status():
+    spec, _ = build("lasso", {"m": 8, "d": 12})
+    eng = Engine(spec, EngineConfig(max_iters=5), alpha_hook=lambda a: np.inf)
+    with np.errstate(invalid="ignore"):
+        trace = eng.run()
+    assert trace.status == "assumption-violation"
+    assert trace.message.startswith("iteration 1, projection: ")
+
+
+# -- warm-started linesearch ------------------------------------------------------
+
+def test_linesearch_starts_one_shrink_above_the_last_accepted_stepsize():
+    # identity drift T(x) = x with delta = 1/2 accepts rho <= 2/3. From
+    # z = 1, w = 0 and rho_init = 4, iteration 1 tries 4, 2, 1 and accepts
+    # 0.5; the projection moves to z = 0.75, w = 0.25. Iteration 2 starts at
+    # min(4, 0.5/nu) = 1 (a restart at rho_init would try 4 and 2 again),
+    # fails at 1 and accepts 0.5.
+    space = Space(1)
+    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(space),),
+                       operators=(_identity_op(), zero_op(1)), forward_blocks=frozenset({0}),
+                       z_init=vec(1.0), w_init=(vec(0.0),))
+    eng = Engine(spec, EngineConfig(delta=0.5, nu=0.5, rho_init=(4.0, 1.0), max_iters=2))
+    eng.step()
+    first = eng.records[-1]
+    assert first.backtracks == (4, 0) and first.stepsizes == (0.5, 1.0)
+    assert (first.phi, first.pi, first.alpha) == (0.25, 0.5, 0.5)
+    assert eng.point.z.entries[0] == 0.75 and eng.point.w[0].entries[0] == 0.25
+    eng.step()
+    second = eng.records[-1]
+    assert second.backtracks == (2, 0) and second.stepsizes == (0.5, 1.0)
+    assert eng.blocks[0].x[0] == 0.5 and eng.blocks[0].y[0] == 0.5
+
+
+def test_large_forward_rho_init_costs_few_evaluations():
+    # rho_init = 1e6 on the cubic block: restarting every search there cost
+    # 2,291 forward evaluations over the same 94 iterations
+    spec, ref = build("box_cubic", {})
+    trace = run(spec, EngineConfig(rho_init=(1e6, 1.0), max_iters=2000))
+    evals = sum(1 + rec.backtracks[0] for rec in trace.records)
+    assert trace.status == "converged"
+    assert trace.iterations == 94
+    assert evals == 303
+    assert np.linalg.norm(trace.solution.z.entries - ref.z.entries) <= 1e-5
 
 
 def test_carry_over_is_bitwise():

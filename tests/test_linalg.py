@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from projsplit import (ConfigError, LinearMap, PrimalDualPoint, ShapeError, Space, Vec,
                        derived_wn, gamma_inner, gamma_norm, point_diff)
+from projsplit.linalg import weighted_norm
 
 
 def vec(*entries):
@@ -134,6 +135,14 @@ def test_gamma_norm_squares_to_inner(seed, gamma):
     p = _random_point(np.random.default_rng(seed), 4, 3)
     inner = gamma_inner(p, p, gamma)
     assert gamma_norm(p, gamma) ** 2 == pytest.approx(inner, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.01, 100.0))
+def test_weighted_norm_is_gamma_norm_bitwise(seed, gamma):
+    p = _random_point(np.random.default_rng(seed), 4, 3)
+    assert weighted_norm(p.z.entries, [wi.entries for wi in p.w], gamma) == \
+        float(np.sqrt(gamma_inner(p, p, gamma)))
 
 
 @settings(max_examples=25, deadline=None)

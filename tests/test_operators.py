@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 from projsplit import (CapabilityError, ConfigError, ErrorPolicy, MonotoneOperator, ShapeError,
                        Space, affine_monotone, box_normal_cone, cube, error_inequality_gaps,
                        forward_eval, gradient_quadratic, inject_error, l1_subdifferential,
-                       prox_eval, signed_sqrt, zero_op)
+                       prox_eval, shifted_identity, signed_sqrt, zero_op)
+from projsplit.errors import NonFiniteError
 
 
 def vec(*entries):
@@ -59,6 +60,18 @@ def test_prox_output_is_checked(bad):
     op = MonotoneOperator(Space(2), prox=lambda a, rho: fn(a), name=bad)
     with pytest.raises(ShapeError):
         prox_eval(op, 1.0, vec(1.0, 2.0))
+
+
+def test_non_finite_output_is_a_non_finite_error():
+    # the linesearch treats NaN/Inf as a failed trial but a wrong shape as a bug
+    for bad in ("nan", "inf"):
+        op = MonotoneOperator(Space(2), forward=BAD_OUTPUTS[bad], name=bad)
+        with pytest.raises(NonFiniteError):
+            forward_eval(op, vec(1.0, 2.0))
+    op = MonotoneOperator(Space(2), forward=BAD_OUTPUTS["shape"], name="shape")
+    with pytest.raises(ShapeError) as info:
+        forward_eval(op, vec(1.0, 2.0))
+    assert not isinstance(info.value, NonFiniteError)
 
 
 def test_callables_cannot_write_into_their_argument():
@@ -152,6 +165,19 @@ def test_resolvent_identity(seed, rho):
         a = 10 * rng.standard_normal(dim)
         res = prox_eval(op, rho, a)
         assert np.linalg.norm(res.x + rho * res.y - a) <= 1e-10 * (1.0 + np.linalg.norm(a))
+
+
+def test_shifted_identity_matches_the_affine_identity():
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(6)
+    fast, dense = shifted_identity(b), affine_monotone(np.eye(6), b)
+    for _ in range(20):
+        x = 10 * rng.standard_normal(6)
+        assert np.array_equal(forward_eval(fast, x), forward_eval(dense, x))
+        for rho in (1e-3, 0.5, 1.0, 7.0):
+            res = prox_eval(fast, rho, x)
+            assert np.allclose(res.x, prox_eval(dense, rho, x).x, rtol=1e-14, atol=1e-14)
+            assert np.allclose(res.y, forward_eval(fast, res.x), rtol=1e-12, atol=1e-12)
 
 
 def test_monotonicity_sampling():
