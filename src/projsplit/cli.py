@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 converged or exact termination, 1 usage/configuration error,
 2 iteration budget exhausted, 3 assumption violation (linesearch budget,
-NaN/Inf from an operator), 4 invariant check failure (verify only; a
-verify whose checks all pass exits with its run's code).
+NaN/Inf or a wrong-shaped value from an operator), 4 invariant check
+failure (verify only; a verify whose checks all pass exits with its run's
+code).
 """
 
 from __future__ import annotations

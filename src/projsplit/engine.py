@@ -29,8 +29,8 @@ scaled by an overrelaxation factor. The loop stops on small residuals, on
 an exactly-zero separator gradient (which certifies the block values as a
 solution), or on the iteration budget. A run ends with the status
 ``assumption-violation`` when a linesearch exhausts its trial budget, when
-an operator returns NaN/Inf at G z or from a prox, or when NaN/Inf reaches
-the separator or the projection.
+an operator returns NaN/Inf or a wrong-shaped value at G z, in a trial or
+from a prox, or when NaN/Inf reaches the separator or the projection.
 
 The engine computes only what the iteration needs. The identities that
 verify it (update equations, gradient norm, error admissibility) are
@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError
+from .errors import (AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError,
+                     ShapeError)
 # gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py wraps them here
 from .linalg import PrimalDualPoint, Space, Vec, derived_wn, gamma_norm  # noqa: F401
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
@@ -64,11 +65,11 @@ class EngineConfig:
     gamma weighs the primal block in the product-space metric. beta is the
     projection overrelaxation, kept inside [beta_lo, beta_hi] with
     0 < beta_lo <= beta_hi < 2. nu in (0,1) is the linesearch shrink factor
-    and delta > 0 its acceptance threshold. rho_init (scalar or per-block)
-    is required to stay inside [rho_min, rho_max]. It is a backward block's
-    prox stepsize. For a forward block it caps every linesearch trial: the
-    search starts at min(rho_init, rho_prev/nu), where rho_prev is the
-    block's last accepted stepsize (rho_init before its first update).
+    and delta > 0 its acceptance threshold. rho_init (scalar or per-block,
+    each finite and > 0) is a backward block's prox stepsize. For a forward
+    block it caps every linesearch trial: the search starts at
+    min(rho_init, rho_prev/nu), where rho_prev is the block's last accepted
+    stepsize (rho_init before its first update).
     quickstop_eps is the relative tolerance for the immediate-accept branch
     of the linesearch, and pi_zero_eps the threshold below which the
     separator gradient is treated as exactly zero.
@@ -82,8 +83,6 @@ class EngineConfig:
     delta: float = 1.0
     max_backtracks: int = 200
     rho_init: float | tuple = 1.0
-    rho_min: float = 1e-12
-    rho_max: float = 1e12
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
     max_iters: int = 10000
@@ -106,15 +105,11 @@ class EngineConfig:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if not isinstance(self.max_backtracks, int) or self.max_backtracks < 1:
             raise ConfigError(f"max_backtracks must be a positive integer, got {self.max_backtracks}")
-        if not 0 < self.rho_min <= self.rho_max < np.inf:
-            raise ConfigError(f"need 0 < rho_min <= rho_max < inf, got "
-                              f"({self.rho_min}, {self.rho_max})")
-        for r in np.atleast_1d(np.asarray(self.rho_init, dtype=float)):
-            if not self.rho_min <= r <= self.rho_max:
-                raise ConfigError(f"rho_init must lie in [rho_min, rho_max]="
-                                  f"[{self.rho_min}, {self.rho_max}], got {r}")
+        rho = np.atleast_1d(np.asarray(self.rho_init, dtype=float))
+        for r in rho:
+            if not 0 < r < np.inf:
+                raise ConfigError(f"rho_init must be finite and > 0, got {r}")
         if n is not None:
-            rho = np.atleast_1d(np.asarray(self.rho_init, dtype=float))
             if rho.shape[0] not in (1, n):
                 raise ConfigError(f"rho_init must be scalar or length {n}, got length {rho.shape[0]}")
         if not self.tol_primal > 0:
@@ -255,7 +250,8 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     T(x~) is NaN/Inf counts as failed. Exceeding the trial budget raises
     :class:`~projsplit.errors.BacktrackLimitError`, since finiteness is
     guaranteed whenever the operator really is continuous. A NaN/Inf
-    T(G z) raises :class:`~projsplit.errors.NonFiniteError`.
+    T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
+    wrong-shaped T(G z) or T(x~) a :class:`~projsplit.errors.ShapeError`.
     """
     theta = slot.map.apply(z_delayed)
     zeta = forward_eval(slot.op, theta)
@@ -468,7 +464,7 @@ class Engine:
                     rho_start = min(slot.rho_init, self.blocks[i].rho / cfg.nu)
                     self.blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start,
                                                                    cfg)
-            except (NonFiniteError, BacktrackLimitError) as exc:
+            except (ShapeError, BacktrackLimitError) as exc:  # NonFiniteError is a ShapeError
                 raise _violation(k, slot, exc) from exc
         self.covered.update(selected)
 
@@ -526,11 +522,12 @@ class Engine:
     def run(self, callback=None) -> RunTrace:
         """Iterate to a terminal outcome.
 
-        A linesearch that exhausts its trial budget and a NaN/Inf from an
-        operator end the run with status ``assumption-violation`` and a
-        message that names the iteration, the block and its operator; they
-        do not raise. ``callback(engine, record)`` fires after every
-        completed iteration, once the projection (if any) has been applied.
+        A linesearch that exhausts its trial budget and a NaN/Inf or
+        wrong-shaped value from an operator end the run with status
+        ``assumption-violation`` and a message that names the iteration, the
+        block and its operator; they do not raise. ``callback(engine,
+        record)`` fires after every completed iteration, once the projection
+        (if any) has been applied.
         """
         t0 = time.perf_counter()
         status, solution, message = "budget", None, ""

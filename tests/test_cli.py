@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import projsplit
 from projsplit import cli, problems
 from projsplit.checks import CheckResult
-from test_engine import cube_overflow_problem, overflow_problem
+from test_engine import (cube_overflow_problem, doubled_forward_problem, doubled_prox_problem,
+                         overflow_problem)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -154,6 +157,22 @@ def test_overflow_exits_3_with_a_message(tmp_path, capsys, monkeypatch, make_spe
         assert cli.main(["verify", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("make_spec", [doubled_forward_problem, doubled_prox_problem],
+                         ids=["forward", "prox"])
+def test_wrong_shaped_operator_output_exits_3(tmp_path, capsys, monkeypatch, make_spec):
+    # an operator returning concat(x, x) ends the run in a status, not a ShapeError traceback
+    monkeypatch.setitem(problems.PROBLEMS, "doubled", (lambda params: (make_spec(), None), ""))
+    cfg = write_config(tmp_path, {"problem": {"kind": "doubled"}, "engine": {"max_iters": 5}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out, err = capsys.readouterr()
+    assert "assumption-violation after 0 iterations" in out
+    assert err == ("assumption-violation: iteration 1, block 0 (operator 'doubling'): "
+                   "expected 2 entries, got array of shape (4,)\n")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "assumption-violation"
+    assert cli.main(["verify", "--config", cfg]) == 3
+
+
 def test_verify_reports_failures_with_exit_4(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, LASSO_SMALL)
 
@@ -179,7 +198,12 @@ def test_list_problems(capsys):
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, {"problem": {"kind": "box_cubic"},
                                   "engine": {"max_iters": 500}})
+    # the child finds the package where this process imported it from
+    src = str(Path(projsplit.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "projsplit", "run", "--config", cfg,
-                           "--out", str(tmp_path / "o")], capture_output=True, text=True)
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "summary.json").exists()

@@ -53,6 +53,9 @@ def test_unknown_keys_are_rejected_by_name():
         parse_config('{"problem": {"kind": "lasso"}, "verbosity": 2}')
     with pytest.raises(ConfigError, match="sched"):
         parse_config('{"problem": {"kind": "lasso"}, "sched": {}}')
+    for key in ("rho_min", "rho_max"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config('{"problem": {"kind": "lasso"}, "engine": {"%s": 1.0}}' % key)
 
 
 def test_config_requires_problem_kind():

@@ -51,6 +51,20 @@ def test_config_bounds_are_enforced_by_name():
     EngineConfig().validate(3)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+def test_config_rejects_a_nonpositive_or_non_finite_rho_init(rho):
+    with pytest.raises(ConfigError, match="rho_init"):
+        EngineConfig(rho_init=rho).validate()
+    with pytest.raises(ConfigError, match="rho_init"):
+        EngineConfig(rho_init=(1.0, rho)).validate(2)
+
+
+def test_config_accepts_any_finite_positive_rho_init():
+    for rho in (1e-300, 1e300):
+        EngineConfig(rho_init=rho).validate(2)
+        EngineConfig(rho_init=(rho, 1.0)).validate(2)
+
+
 def test_config_per_block_stepsizes():
     cfg = EngineConfig(rho_init=(1.0, 2.0))
     assert cfg.resolve_rho(2) == (1.0, 2.0)
@@ -369,6 +383,40 @@ def test_non_finite_value_at_theta_ends_in_a_status():
     assert trace.status == "assumption-violation"
     assert trace.message == ("iteration 1, block 0 (operator 'blowup'): "
                              "vector entries must be finite (no NaN/Inf)")
+
+
+def _doubling(x, *_):
+    return np.concatenate((x, x))
+
+
+def doubled_forward_problem():
+    """A forward block whose operator returns twice its input's length."""
+    space = Space(2)
+    op = MonotoneOperator(space, forward=_doubling, name="doubling")
+    return ProblemSpec(name="doubled-forward", maps=(LinearMap.identity(space),),
+                       operators=(op, zero_op(2)), forward_blocks=frozenset({0}),
+                       z_init=space.zeros(), w_init=(space.zeros(),))
+
+
+def doubled_prox_problem():
+    """A backward block whose resolvent returns twice its input's length."""
+    space = Space(2)
+    op = MonotoneOperator(space, prox=_doubling, name="doubling")
+    return ProblemSpec(name="doubled-prox", maps=(LinearMap.identity(space),),
+                       operators=(op, zero_op(2)), forward_blocks=frozenset(),
+                       z_init=space.zeros(), w_init=(space.zeros(),))
+
+
+@pytest.mark.parametrize("make_spec", [doubled_forward_problem, doubled_prox_problem],
+                         ids=["forward", "prox"])
+def test_wrong_shaped_operator_output_ends_in_a_status(make_spec):
+    with pytest.raises(AssumptionViolationError, match="expected 2 entries"):
+        Engine(make_spec(), EngineConfig(max_iters=5)).step()
+    trace = run(make_spec(), EngineConfig(max_iters=5))
+    assert trace.status == "assumption-violation"
+    assert trace.iterations == 0
+    assert trace.message == ("iteration 1, block 0 (operator 'doubling'): "
+                             "expected 2 entries, got array of shape (4,)")
 
 
 def test_overflowing_projection_ends_in_a_status():

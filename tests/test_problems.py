@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projsplit import problems
 from projsplit import (ConfigError, EngineConfig, LinearMap, ProblemSpec, Space, Vec, build,
                        kkt_residual, make_box_cubic, make_lasso, make_signed_sqrt,
                        make_skew_composed, run, zero_op)
@@ -34,6 +35,88 @@ def test_lasso_zero_target_gives_origin():
 def test_lasso_rejects_bad_weight():
     with pytest.raises(ConfigError):
         make_lasso(np.eye(2), [1.0, 1.0], 0.0)
+
+
+def _straight_lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
+    """The oracle without early polish attempts: restarted FISTA to tol, then
+    one support polish, kept only if its signs and off-support duals pass."""
+    def soft(v, t):
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+    d = a_mat.shape[1]
+    lip = np.linalg.norm(a_mat, 2) ** 2
+    t = 1.0 / lip
+    z = np.zeros(d)
+    z_old = z.copy()
+    theta = 1.0
+    for iters in range(1, max_iters + 1):
+        grad = a_mat.T @ (a_mat @ z - b)
+        z_new = soft(z - t * grad, t * lam)
+        if np.linalg.norm((z - z_new) / t) <= tol:
+            z = z_new
+            break
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        z_acc = z_new + (theta - 1.0) / theta_new * (z_new - z_old)
+        if np.dot(z_acc - z_new, z_new - z_old) > 0.0:
+            z_acc, theta_new = z_new, 1.0
+        z_old, z, theta = z_new, z_acc, theta_new
+    else:
+        raise AssertionError("reference loop did not reach its tolerance")
+    support = np.abs(z) > 1e-12
+    if support.any():
+        signs = np.sign(z[support])
+        a_s = a_mat[:, support]
+        z_s = np.linalg.solve(a_s.T @ a_s, a_s.T @ b - lam * signs)
+        polished = np.zeros(d)
+        polished[support] = z_s
+        off_dual = a_mat.T @ (a_mat @ polished - b)
+        if (np.all(np.sign(polished[support]) == signs)
+                and np.all(np.abs(off_dual[~support]) <= lam * (1.0 - 1e-10))):
+            return polished, iters
+    return z, iters
+
+
+def _seeded_lasso_data(seed, m, d, lam_factor=0.1):
+    rng = np.random.default_rng([seed, 101])
+    a_mat = rng.standard_normal((m, d))
+    b = rng.standard_normal(m)
+    return a_mat, b, lam_factor * float(np.abs(a_mat.T @ b).max())
+
+
+LASSO_ORACLE_CASES = {
+    **{f"20x50-seed{seed}": _seeded_lasso_data(seed, 20, 50) for seed in range(4)},
+    "5x8": _seeded_lasso_data(4, 5, 8),
+    "1x1": (np.array([[2.0]]), np.array([3.0]), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LASSO_ORACLE_CASES))
+def test_lasso_oracle_early_polish_returns_the_straight_loops_bits(case, monkeypatch):
+    a_mat, b, lam = LASSO_ORACLE_CASES[case]
+    expected, straight_iters = _straight_lasso_oracle(a_mat, b, lam)
+    iters = [0]
+    soft = problems._soft
+
+    def counted(v, t):
+        iters[0] += 1
+        return soft(v, t)
+
+    monkeypatch.setattr(problems, "_soft", counted)
+    z = problems._lasso_oracle(a_mat, b, lam)
+    assert z.tobytes() == expected.tobytes()
+    # the 1x1 case reaches tol in two iterations; the others settle their
+    # signs long before and stop there
+    if case == "1x1":
+        assert iters[0] == straight_iters
+    else:
+        assert iters[0] < straight_iters
+
+
+def test_small_lambda_lasso_oracle_certifies():
+    # restarted FISTA never reaches 1e-10 here in 500,000 iterations; the
+    # support it settles on certifies through the polish
+    spec, ref = build("lasso", {"seed": 8, "m": 100, "d": 300, "lam_factor": 0.01})
+    assert kkt_residual(spec, ref.z, ref.w) <= 1e-8
 
 
 def test_box_cubic_interior_solution():
