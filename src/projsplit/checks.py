@@ -26,13 +26,14 @@ post-hoc from the trace records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import BlockState, Engine, IterationRecord, SeparatorEval
 from .errors import ShapeError
-from .linalg import PrimalDualPoint, derived_wn, gamma_norm, weighted_norm
+from .linalg import PrimalDualPoint, dual_sum, gamma_norm, weighted_norm
 from .operators import ProxResult, error_inequality_gaps
 
 
@@ -50,8 +51,8 @@ class CheckResult:
         return f"{self.name:<18} {status}  worst={self.worst:.3e}{where}"
 
 
-def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
-    """The separator value at an arbitrary point, assembled independently.
+def affine_value(blocks, maps, q) -> float:
+    """The separator value at an arbitrary point ``q = (z, w)`` of arrays, assembled independently.
 
     Computed from the inner products of block mismatches,
 
@@ -61,15 +62,21 @@ def affine_value(blocks, maps, q: PrimalDualPoint) -> float:
     :func:`~projsplit.engine.evaluate_separator`. Nonpositive at every
     solution point.
     """
-    n = len(blocks)
-    if len(q.w) != n - 1:
-        raise ShapeError(f"point has {len(q.w)} dual blocks, expected {n - 1}")
-    z = q.z.entries
+    z, w = q
+    if len(w) != len(blocks) - 1:
+        raise ShapeError(f"point has {len(w)} dual blocks, expected {len(blocks) - 1}")
+    return _affine_value(blocks, [g.apply(z) for g in maps], q, dual_sum(w, maps, z.shape[0]))
+
+
+def _affine_value(blocks, gz, q, wn) -> float:
+    """:func:`affine_value` at q given G_i z (``gz``) and w_n(q) (``wn``)."""
+    z, w = q
     total = 0.0
-    for i in range(n - 1):
-        total += np.dot(maps[i].apply(z) - blocks[i].x, blocks[i].y - q.w[i].entries)
-    wn = derived_wn(q, maps)
-    total += np.dot(z - blocks[-1].x, blocks[-1].y - wn)
+    for i in range(len(gz)):
+        b = blocks[i]
+        total += (gz[i] - b.x).dot(b.y - w[i])
+    last = blocks[-1]
+    total += (z - last.x).dot(last.y - wn)
     return float(total)
 
 
@@ -79,10 +86,10 @@ def pi_gap(sep: SeparatorEval, gamma: float) -> float:
     return abs(sep.pi - grad_sq) / max(sep.pi, grad_sq, 1e-300)
 
 
-def distance(p: PrimalDualPoint, q: PrimalDualPoint, gamma: float) -> float:
-    """The gamma-norm of p - q."""
-    return weighted_norm(p.z.entries - q.z.entries,
-                         [wp.entries - wq.entries for wp, wq in zip(p.w, q.w)], gamma)
+def distance(p, q, gamma: float) -> float:
+    """The gamma-norm of p - q for points ``p = (z, w)`` and ``q`` of arrays."""
+    (zp, wp), (zq, wq) = p, q
+    return weighted_norm(zp - zq, [wp[i] - wq[i] for i in range(len(wp))], gamma)
 
 
 def update_gap(block: BlockState, kind: str) -> float:
@@ -93,9 +100,14 @@ def update_gap(block: BlockState, kind: str) -> float:
     """
     if kind == "forward":
         recon = block.theta - block.rho * block.drift
-        return float(np.linalg.norm(block.x - recon) / (1.0 + np.linalg.norm(recon)))
+        return _norm(block.x - recon) / (1.0 + _norm(recon))
     a = block.theta + block.rho * block.w + block.error
-    return float(np.linalg.norm(block.x + block.rho * block.y - a) / (1.0 + np.linalg.norm(a)))
+    return _norm(block.x + block.rho * block.y - a) / (1.0 + _norm(a))
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm, bitwise equal to ``np.linalg.norm`` on a 1-d float64 array."""
+    return math.sqrt(x.dot(x))
 
 
 def error_gap(block: BlockState, sigma: float) -> float:
@@ -146,11 +158,15 @@ class InvariantMonitor:
                       "projection", "error-bounds", "stepsize-bound")}
         self._last_rho: dict[int, float] = {}
         if reference is not None:
-            self.ref_point = reference.point
-            self.ref_scale = 1.0 + gamma_norm(self.ref_point, gamma)
+            # the reference is fixed: G_i z* and w_n(z*) are computed once
+            ref = self.ref_point = reference.point
+            z_ref, w_ref = self._ref = ref.arrays
+            self._ref_gz = [g.apply(z_ref) for g in problem.maps]
+            self._ref_wn = dual_sum(w_ref, problem.maps, z_ref.shape[0])
+            self.ref_scale = 1.0 + gamma_norm(ref, gamma)
             start = initial_point if initial_point is not None else \
                 PrimalDualPoint(problem.z_init, problem.w_init)
-            self._prev_dist = distance(start, self.ref_point, gamma)
+            self._prev_dist = distance(start.arrays, self._ref, gamma)
         else:
             self.ref_point = None
             self._prev_dist = None
@@ -172,14 +188,14 @@ class InvariantMonitor:
                 self._last_rho[i] = block.rho
 
         if record.projected and record.phi > 0.0 and record.beta == 1.0:
-            landed = affine_value(engine.blocks, engine.problem.maps, engine.point)
+            landed = affine_value(engine.blocks, engine.problem.maps, engine.iterate)
             bound = self.tols["projection"] * (1.0 + abs(record.phi))
             self._acc["projection"].observe(abs(landed) - bound, k)
 
         if self.ref_point is not None:
-            sep_val = affine_value(engine.blocks, engine.problem.maps, self.ref_point)
+            sep_val = _affine_value(engine.blocks, self._ref_gz, self._ref, self._ref_wn)
             self._acc["separation"].observe(sep_val - self.tols["separation"] * self.ref_scale, k)
-            dist = distance(engine.point, self.ref_point, self.gamma)
+            dist = distance(engine.iterate, self._ref, self.gamma)
             self._acc["fejer"].observe(dist - self._prev_dist - self.tols["fejer"], k)
             self._prev_dist = dist
 

@@ -37,9 +37,16 @@ verify it (update equations, gradient norm, error admissibility) are
 checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
 :class:`BlockState` keeps and from :attr:`Engine.separator`.
 
-Block updates, the separator and the projection work on float64 arrays;
-the iterate (:attr:`Engine.point`, the history entries) is a
-:class:`~projsplit.linalg.PrimalDualPoint`, built once per projection.
+The iterate is a ``(z, w)`` pair: ``z`` a read-only float64 array and ``w``
+a tuple of them, one per dual block (:attr:`Engine.iterate`, the history
+entries). Block updates, the separator and the projection work on those
+arrays, and the per-iteration records are named tuples. A
+:class:`~projsplit.linalg.PrimalDualPoint` is built only for callers:
+:attr:`Engine.point` builds one on demand, and a run returns its solution
+and final point as points. Under a ``full`` schedule every block is
+selected at every iteration, and under zero delay every read is of the
+current iterate; the loop then skips block selection, delay draws and the
+history.
 """
 
 from __future__ import annotations
@@ -47,13 +54,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError,
                      ShapeError)
-# gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py wraps them here
-from .linalg import PrimalDualPoint, Space, Vec, derived_wn, gamma_norm  # noqa: F401
+# derived_wn, gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py
+# wraps them here
+from .linalg import (PrimalDualPoint, Space, Vec, all_finite, derived_wn,  # noqa: F401
+                     dual_sum, gamma_norm)
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
 
@@ -141,15 +151,15 @@ class OperatorSlot:
     rho_init: float
 
 
-@dataclass(frozen=True)
-class BlockState:
+class BlockState(NamedTuple):
     """Result of a block update: (x, y) with y in T(x), plus its inputs.
 
     ``theta`` = G z and ``w`` are the (possibly stale) iterate values the
     update read. A forward update also keeps ``drift`` = T(theta) - w, a
     backward update the accepted prox-input error ``error``. The engine
-    never reads these four; the invariant monitor verifies the update
-    equations from them. Initial states leave them None.
+    reads ``theta`` only as G z for a primal residual; the invariant
+    monitor verifies the update equations from all four. Initial states
+    leave them None.
     """
 
     x: np.ndarray
@@ -162,8 +172,7 @@ class BlockState:
     error: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class SeparatorEval:
+class SeparatorEval(NamedTuple):
     """One iteration's affine separator: offsets u_i, v, its gradient norm
     pi, the value at the current point, and the resulting steplength."""
 
@@ -174,8 +183,7 @@ class SeparatorEval:
     alpha: float
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Diagnostics for one outer iteration.
 
     The per-iteration identities are not recorded: the invariant monitor
@@ -198,10 +206,13 @@ class IterationRecord:
     projected: bool
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     kind: str  # "continue" | "converged" | "exact-termination" | "budget"
     solution: PrimalDualPoint | None = None
+
+
+_CONTINUE = StepOutcome("continue")
+_BUDGET = StepOutcome("budget")
 
 
 @dataclass
@@ -233,9 +244,8 @@ def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.nda
                     rho: float, error_policy: ErrorPolicy) -> BlockState:
     """Resolvent step at input G z + rho*w + e with an admissible error e."""
     gz = slot.map.apply(z_delayed)
-    base = gz + rho * w_delayed
-    e, res = inject_error(error_policy, base, slot.op, rho, gz, w_delayed)
-    return BlockState(x=res.x, y=res.y, rho=rho, theta=gz, w=w_delayed, error=e)
+    e, res = inject_error(error_policy, gz + rho * w_delayed, slot.op, rho, gz, w_delayed)
+    return BlockState(res.x, res.y, rho, 0, gz, w_delayed, None, e)
 
 
 def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
@@ -253,42 +263,41 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
     wrong-shaped T(G z) or T(x~) a :class:`~projsplit.errors.ShapeError`.
     """
+    op = slot.op
     theta = slot.map.apply(z_delayed)
-    zeta = forward_eval(slot.op, theta)
+    zeta = forward_eval(op, theta)
     drift = zeta - w_delayed
-    if np.linalg.norm(drift) <= config.quickstop_eps * (1.0 + np.linalg.norm(w_delayed)):
-        x, y, rho_hat, count = theta, zeta, rho_init, 0
-    else:
-        rho = rho_init
-        count = 0
-        while True:
-            count += 1
-            if count > config.max_backtracks:
-                raise BacktrackLimitError(
-                    f"linesearch exceeded {config.max_backtracks} trials "
-                    "(the operator may violate the continuity assumption)")
-            x_try = theta - rho * drift
-            try:
-                y_try = forward_eval(slot.op, x_try)
-            except NonFiniteError:
-                pass  # under continuity, NaN/Inf at x~ only means the step was too long
-            else:
-                gap = theta - x_try
-                if config.delta * np.dot(gap, gap) - np.dot(gap, y_try - w_delayed) <= 0.0:
-                    break
-            rho = config.nu * rho
-        x, y, rho_hat = x_try, y_try, rho
-    return BlockState(x=x, y=y, rho=rho_hat, backtracks=count, theta=theta, w=w_delayed,
-                      drift=drift)
+    # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
+    if (math.sqrt(drift.dot(drift))
+            <= config.quickstop_eps * (1.0 + math.sqrt(w_delayed.dot(w_delayed)))):
+        return BlockState(theta, zeta, rho_init, 0, theta, w_delayed, drift)
+    delta, nu, budget = config.delta, config.nu, config.max_backtracks
+    rho = rho_init
+    count = 0
+    while True:
+        count += 1
+        if count > budget:
+            raise BacktrackLimitError(
+                f"linesearch exceeded {budget} trials "
+                "(the operator may violate the continuity assumption)")
+        x_try = theta - rho * drift
+        try:
+            y_try = forward_eval(op, x_try)
+        except NonFiniteError:
+            pass  # under continuity, NaN/Inf at x~ only means the step was too long
+        else:
+            gap = theta - x_try
+            if delta * gap.dot(gap) - gap.dot(y_try - w_delayed) <= 0.0:
+                return BlockState(x_try, y_try, rho, count, theta, w_delayed, drift)
+        rho = nu * rho
 
 
 # ---------------------------------------------------------------------------
 # separator and projection
 # ---------------------------------------------------------------------------
 
-def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
-                       beta: float = 1.0) -> SeparatorEval:
-    """Assemble the affine separator from the current block values.
+def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> SeparatorEval:
+    """Assemble the affine separator at the iterate ``p = (z, w)`` from the block values.
 
     u_i = x_i - G_i x_n and v = sum_i G_i* y_i + y_n form its gradient;
     pi = ||u||^2 + gamma^{-1}||v||^2 is the squared gradient norm in the
@@ -301,23 +310,29 @@ def evaluate_separator(blocks, p: PrimalDualPoint, maps, gamma: float,
     finite: a block value overflowed or is NaN/Inf, and the steplength
     would be meaningless.
     """
-    n = len(blocks)
-    x_n, y_n = blocks[-1].x, blocks[-1].y
-    u = tuple(blocks[i].x - maps[i].apply(x_n) for i in range(n - 1))
-    v = np.zeros(y_n.shape[0])
-    for i in range(n - 1):
-        v = v + maps[i].apply_adjoint(blocks[i].y)
-    v = v + y_n
-    pi = float(sum(np.dot(ui, ui) for ui in u) + np.dot(v, v) / gamma)
-    phi = float(np.dot(p.z.entries, v))
-    for wi, ui in zip(p.w, u):
-        phi += float(np.dot(wi.entries, ui))
+    z, w = p
+    last = blocks[-1]
+    x_n = last.x
+    u = []
+    v = np.zeros(last.y.shape[0])
+    uu = 0.0
+    for i in range(len(blocks) - 1):
+        b, g = blocks[i], maps[i]
+        ui = b.x - g.apply(x_n)
+        u.append(ui)
+        uu += ui.dot(ui)
+        v = v + g.apply_adjoint(b.y)
+    v = v + last.y
+    pi = float(uu + v.dot(v) / gamma)
+    phi = float(z.dot(v))
+    for i in range(len(u)):
+        phi += float(w[i].dot(u[i]))
     for b in blocks:
-        phi -= float(np.dot(b.x, b.y))
+        phi -= float(b.x.dot(b.y))
     if not (math.isfinite(pi) and math.isfinite(phi)):
         raise NonFiniteError(f"separator is not finite (pi={pi}, phi={phi})")
     alpha = beta * max(0.0, phi) / pi if pi > 0.0 else 0.0
-    return SeparatorEval(u=u, v=v, pi=pi, phi_at_p=phi, alpha=alpha)
+    return SeparatorEval(tuple(u), v, pi, phi, alpha)
 
 
 # not called by the solver: perfbench/tracing.py looks it up here
@@ -328,20 +343,28 @@ def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
                            tuple(Vec(Space(ui.shape[0]), ui) for ui in sep.u))
 
 
-def project(p: PrimalDualPoint, sep: SeparatorEval, gamma: float,
-            alpha_hook=None) -> PrimalDualPoint:
-    """Relaxed projection of p onto the separator's zero hyperplane.
+def project(p, sep: SeparatorEval, gamma: float, alpha_hook=None):
+    """Relaxed projection of the iterate ``p = (z, w)`` onto the separator's zero hyperplane.
 
-    z+ = z - alpha*v/gamma and w_i+ = w_i - alpha*u_i; a zero steplength
-    returns p itself. ``alpha_hook`` is test instrumentation that may
-    transform the steplength to corrupt the projection deliberately.
+    z+ = z - alpha*v/gamma and w_i+ = w_i - alpha*u_i, returned as a pair of
+    read-only arrays; a zero steplength returns p itself. Raises
+    :class:`~projsplit.errors.NonFiniteError` when an entry of the result
+    is NaN/Inf. ``alpha_hook`` is test instrumentation that may transform
+    the steplength to corrupt the projection deliberately.
     """
     alpha = sep.alpha if alpha_hook is None else alpha_hook(sep.alpha)
     if alpha == 0.0:
         return p
-    z_new = Vec(p.z.space, p.z.entries - (alpha / gamma) * sep.v)
-    w_new = tuple(Vec(wi.space, wi.entries - alpha * ui) for wi, ui in zip(p.w, sep.u))
-    return PrimalDualPoint(z_new, w_new)
+    z, w = p
+    u = sep.u
+    arrays = [z - (alpha / gamma) * sep.v]
+    for i in range(len(w)):
+        arrays.append(w[i] - alpha * u[i])
+    for arr in arrays:
+        if not all_finite(arr):
+            raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
+        arr.setflags(write=False)
+    return arrays[0], tuple(arrays[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +374,10 @@ def project(p: PrimalDualPoint, sep: SeparatorEval, gamma: float,
 class Engine:
     """Driver for one solver run. Single-threaded, deterministic given seeds.
 
-    After each step ``blocks`` holds the block states and ``separator`` that
-    iteration's :class:`SeparatorEval`; a ``run`` callback may read both.
+    After each step ``blocks`` holds the block states, ``separator`` that
+    iteration's :class:`SeparatorEval` and ``iterate`` the ``(z, w)`` pair
+    of arrays; a ``run`` callback may read all three, or ``point`` for the
+    iterate as a :class:`~projsplit.linalg.PrimalDualPoint`.
 
     Parameters
     ----------
@@ -386,7 +411,7 @@ class Engine:
         self.beta_schedule = beta_schedule
         self.alpha_hook = alpha_hook
 
-        n = problem.n
+        n = self._n = problem.n
         rho = self.config.resolve_rho(n)
         ident = problem.identity_map()
         self.slots = [
@@ -396,37 +421,51 @@ class Engine:
                          rho_init=rho[i])
             for i in range(n)
         ]
-        self.point = PrimalDualPoint(problem.z_init, problem.w_init)
-        self.history = HistoryBuffer(self.schedule.D)
-        self.history.store(1, self.point)
+        self._maps = tuple(problem.maps)
+        self._dim = problem.space0.dim
+        self._point = PrimalDualPoint(problem.z_init, problem.w_init)
+        self.iterate = self._point.arrays
+        # a full schedule selects every block at every iteration, and with
+        # zero delay every read is of the current iterate
+        sched = self.schedule
+        self._every_block = tuple(range(n)) if sched.kind == "full" else None
+        self._zero_delay = sched.delay_kind == "zero" or sched.D == 0
+        self.history = None
+        if not self._zero_delay:
+            self.history = HistoryBuffer(sched.D)
+            self.history.store(1, self.iterate)
+        z = self.iterate[0]
         if initial_blocks is None:
             # placeholders (G_i z1, 0), not in gra T_i: marking every block
             # overdue makes select_blocks replace them all at iteration 1
-            self.blocks = [
-                BlockState(x=s.map.apply(self.point.z.entries), y=np.zeros(s.op.space.dim),
-                           rho=s.rho_init)
-                for s in self.slots
-            ]
-            self.last_selected = [1 - self.schedule.M] * n
+            self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.space.dim), s.rho_init)
+                           for s in self.slots]
+            self.last_selected = [1 - sched.M] * n
         else:
-            self.blocks = [
-                BlockState(x=x.entries, y=y.entries, rho=s.rho_init)
-                for s, (x, y) in zip(self.slots, initial_blocks)
-            ]
+            self.blocks = [BlockState(x.entries, y.entries, s.rho_init)
+                           for s, (x, y) in zip(self.slots, initial_blocks)]
             self.last_selected = [0] * n
         self.k = 0
         self.covered: set[int] = set()
+        self._fully_covered = False
         self.separator: SeparatorEval | None = None
         self.records: list[IterationRecord] = []
-        self._all_blocks = frozenset(range(n))
 
     @property
     def n(self) -> int:
-        return self.problem.n
+        return self._n
+
+    @property
+    def point(self) -> PrimalDualPoint:
+        """The iterate as a :class:`~projsplit.linalg.PrimalDualPoint`, built on first use."""
+        if self._point is None:
+            z, w = self.iterate
+            self._point = PrimalDualPoint(
+                Vec(self.problem.space0, z),
+                tuple(Vec(wi.space, w[i]) for i, wi in enumerate(self.problem.w_init)))
+        return self._point
 
     def _beta_at(self, k: int) -> float:
-        if self.beta_schedule is None:
-            return self.config.beta
         beta = float(self.beta_schedule(k))
         if not self.config.beta_lo <= beta <= self.config.beta_hi:
             raise ConfigError(f"beta schedule produced {beta} outside "
@@ -437,87 +476,94 @@ class Engine:
         """Execute one outer iteration; see the module docstring for the shape."""
         cfg = self.config
         if self.k >= cfg.max_iters:
-            return StepOutcome("budget")
+            return _BUDGET
         k = self.k = self.k + 1
-        n = self.n
-        maps = self.problem.maps
+        n = self._n
+        last = n - 1
+        slots, blocks = self.slots, self.blocks
+        z, w = p = self.iterate
 
-        selected = select_blocks(self.schedule, n, k, self.last_selected)
-        delays = tuple(delayed_index(self.schedule, i, k) for i in selected)
+        selected = self._every_block
+        if selected is None:
+            selected = select_blocks(self.schedule, n, k, self.last_selected)
+            for i in selected:
+                self.last_selected[i] = k
+        if self._zero_delay:
+            delays = (k,) * len(selected)
+        else:
+            delays = tuple([delayed_index(self.schedule, i, k) for i in selected])
         # iterate k is the current point, so a zero-delay read of the last
         # block shares w_n with the dual residual below
-        wn = derived_wn(self.point, maps)
+        wn = dual_sum(w, self._maps, self._dim)
+        fresh = []  # blocks updated from iterate k
         for i, d in zip(selected, delays):
-            self.last_selected[i] = k
-            slot = self.slots[i]
-            stale = self.history.read(d)
-            z_d = stale.z.entries
-            if i < n - 1:
-                w_d = stale.w[i].entries
+            slot = slots[i]
+            if d == k:
+                fresh.append(i)
+                z_d = z
+                w_d = w[i] if i < last else wn
             else:
-                w_d = wn if d == k else derived_wn(stale, maps)
+                z_d, w_stale = self.history.read(d)
+                w_d = w_stale[i] if i < last else dual_sum(w_stale, self._maps, self._dim)
             try:
                 if slot.kind == "backward":
-                    self.blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init,
-                                                     self.error_policy)
+                    blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init, self.error_policy)
                 else:
-                    rho_start = min(slot.rho_init, self.blocks[i].rho / cfg.nu)
-                    self.blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start,
-                                                                   cfg)
+                    rho_start = min(slot.rho_init, blocks[i].rho / cfg.nu)
+                    blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start, cfg)
             except (ShapeError, BacktrackLimitError) as exc:  # NonFiniteError is a ShapeError
                 raise _violation(k, slot, exc) from exc
-        self.covered.update(selected)
+        if not self._fully_covered:
+            self.covered.update(selected)
+            self._fully_covered = len(self.covered) == n
 
-        beta_k = self._beta_at(k)
+        beta_k = cfg.beta if self.beta_schedule is None else self._beta_at(k)
         try:
-            sep = self.separator = evaluate_separator(self.blocks, self.point, maps,
-                                                      cfg.gamma, beta_k)
+            sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, beta_k)
         except NonFiniteError as exc:
-            culprit = self.slots[_largest_block(self.blocks)]
+            culprit = slots[_largest_block(blocks)]
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
 
-        # a zero-delay update read iterate k, so its theta already is G_i z
-        current = {i for i, d in zip(selected, delays) if d == k}
-        z, w = self.point.z.entries, self.point.w
-        primal = tuple(
-            float(np.linalg.norm((b.theta if i in current else s.map.apply(z)) - b.x))
-            for i, (s, b) in enumerate(zip(self.slots, self.blocks)))
-        dual = tuple(
-            float(np.linalg.norm(b.y - (w[i].entries if i < n - 1 else wn)))
-            for i, b in enumerate(self.blocks))
-        fully_covered = self.covered == self._all_blocks
+        # residuals ||G_i z - x_i|| and ||y_i - w_i||; a block updated from
+        # iterate k already holds G_i z as its theta
+        primal, dual, backtracks, stepsizes = [], [], [], []
+        for i in range(n):
+            b = blocks[i]
+            r = (b.theta if i in fresh else slots[i].map.apply(z)) - b.x
+            primal.append(math.sqrt(r.dot(r)))
+            r = b.y - (w[i] if i < last else wn)
+            dual.append(math.sqrt(r.dot(r)))
+            backtracks.append(b.backtracks if i in selected else 0)
+            stepsizes.append(b.rho)
+        max_primal, max_dual = max(primal), max(dual)
 
-        exact = sep.pi <= cfg.pi_zero_eps and fully_covered
-        converged = (not exact and fully_covered
-                     and max(primal) <= cfg.tol_primal and max(dual) <= cfg.tol_dual)
+        exact = sep.pi <= cfg.pi_zero_eps and self._fully_covered
+        converged = (not exact and self._fully_covered
+                     and max_primal <= cfg.tol_primal and max_dual <= cfg.tol_dual)
         projected = not exact and not converged and sep.pi > cfg.pi_zero_eps
 
         self.records.append(IterationRecord(
-            iteration=k, phi=sep.phi_at_p, pi=sep.pi, alpha=sep.alpha, beta=beta_k,
-            selected=selected, delays=delays,
-            primal_residuals=primal, dual_residuals=dual,
-            max_primal_residual=max(primal), max_dual_residual=max(dual),
-            backtracks=tuple(self.blocks[i].backtracks if i in selected else 0
-                             for i in range(n)),
-            stepsizes=tuple(b.rho for b in self.blocks),
-            projected=projected,
-        ))
+            k, sep.phi_at_p, sep.pi, sep.alpha, beta_k, selected, delays, tuple(primal),
+            tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes), projected))
 
         if exact:
             solution = PrimalDualPoint(
-                Vec(self.problem.space0, self.blocks[-1].x),
-                tuple(Vec(wi.space, self.blocks[i].y) for i, wi in enumerate(w)))
+                Vec(self.problem.space0, blocks[-1].x),
+                tuple(Vec(wi.space, blocks[i].y) for i, wi in enumerate(self.problem.w_init)))
             return StepOutcome("exact-termination", solution)
         if converged:
             return StepOutcome("converged", self.point)
         if projected:
             try:
-                self.point = project(self.point, sep, cfg.gamma, self.alpha_hook)
+                new = project(p, sep, cfg.gamma, self.alpha_hook)
             except NonFiniteError as exc:
                 raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
+            if new is not p:
+                self.iterate, self._point = new, None
         # pi ~ 0 without full coverage: zero steplength, point carries over
-        self.history.store(k + 1, self.point)
-        return StepOutcome("continue")
+        if self.history is not None:
+            self.history.store(k + 1, self.iterate)
+        return _CONTINUE
 
     def run(self, callback=None) -> RunTrace:
         """Iterate to a terminal outcome.

@@ -7,14 +7,18 @@ gamma-weighted inner product
 
     <(z1, w1), (z2, w2)>_gamma = gamma*<z1, z2> + sum_i <w1_i, w2_i>.
 
-Maps, :func:`derived_wn` and :func:`weighted_norm` work on float64 arrays.
-:class:`Vec` and :class:`PrimalDualPoint` hold only public values and the
-stored iterate; their entries, like every operator output, pass
-:func:`checked_entries`.
+The solver works on float64 arrays: maps, :func:`dual_sum`,
+:func:`weighted_norm` and :func:`all_finite` take arrays, and its iterate
+is a ``(z, w)`` pair of read-only arrays. :class:`Vec` and
+:class:`PrimalDualPoint` are the boundary types: problem data, reference
+solutions and the points a run returns. A point converts to the solver's
+pair through :attr:`PrimalDualPoint.arrays`. Vec entries, like every
+operator output, pass :func:`checked_entries`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +40,30 @@ class Space:
         return Vec(self, np.zeros(self.dim))
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no entry of the 1-d float64 array is NaN/Inf.
+
+    <x, x> is finite only if every entry is, so one dot product settles the
+    common case; when it is not finite (an overflow, or a NaN/Inf entry),
+    the entries are checked one by one.
+    """
+    return math.isfinite(arr.dot(arr)) or bool(np.isfinite(arr).all())
+
+
 def checked_entries(space: Space, entries) -> np.ndarray:
     """A read-only float64 copy of ``entries``, checked to be a finite element of ``space``.
 
     A 0-d value counts as one entry. Raises :class:`ShapeError` on a wrong
     shape and its subclass :class:`NonFiniteError` on NaN/Inf.
     """
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1 or arr.shape[0] != space.dim:
-        raise ShapeError(f"expected {space.dim} entries, got array of shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    arr = np.array(entries, dtype=float)
+    if arr.shape != (space.dim,):
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.shape != (space.dim,):
+            raise ShapeError(f"expected {space.dim} entries, got array of shape {arr.shape}")
+    if not all_finite(arr):
         raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -169,6 +183,11 @@ class PrimalDualPoint:
     def __setattr__(self, name, value):
         raise AttributeError("PrimalDualPoint is immutable")
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The point as the solver's ``(z, w)`` pair of read-only arrays."""
+        return self.z.entries, tuple(wi.entries for wi in self.w)
+
     def __repr__(self):
         return f"PrimalDualPoint(z dim={self.z.space.dim}, {len(self.w)} dual blocks)"
 
@@ -178,9 +197,14 @@ def derived_wn(p: PrimalDualPoint, maps) -> np.ndarray:
     maps = tuple(maps)
     if len(maps) != len(p.w):
         raise ShapeError(f"{len(p.w)} dual blocks but {len(maps)} maps")
-    out = np.zeros(p.z.space.dim)
-    for g, wi in zip(maps, p.w):
-        out = out - g.apply_adjoint(wi.entries)
+    return dual_sum(tuple(wi.entries for wi in p.w), maps, p.z.space.dim)
+
+
+def dual_sum(w, maps, dim: int) -> np.ndarray:
+    """:func:`derived_wn` for the dual blocks ``w`` as arrays: -sum_i G_i* w_i in R^dim."""
+    out = np.zeros(dim)
+    for i in range(len(maps)):
+        out = out - maps[i].apply_adjoint(w[i])
     return out
 
 
@@ -205,10 +229,10 @@ def gamma_norm(p: PrimalDualPoint, gamma: float) -> float:
 
 def weighted_norm(z: np.ndarray, w, gamma: float) -> float:
     """The gamma-norm sqrt(gamma*||z||^2 + sum_i ||w_i||^2) of a pair of arrays."""
-    total = gamma * float(np.dot(z, z))
+    total = gamma * float(z.dot(z))
     for wi in w:
-        total += float(np.dot(wi, wi))
-    return float(np.sqrt(total))
+        total += float(wi.dot(wi))
+    return math.sqrt(total)
 
 
 def point_diff(p: PrimalDualPoint, q: PrimalDualPoint) -> PrimalDualPoint:

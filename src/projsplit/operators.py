@@ -15,6 +15,7 @@ hand a callable a read-only view of its argument and pass its output through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class MonotoneOperator:
         return f"MonotoneOperator({self.name}, dim={self.space.dim}, {caps})"
 
 
-@dataclass(frozen=True)
-class ProxResult:
+class ProxResult(NamedTuple):
     """Resolvent output: x = (I + rho*T)^{-1}(a) and y = (a - x)/rho in T(x)."""
 
     x: np.ndarray
@@ -83,7 +83,7 @@ def _argument(op: MonotoneOperator, x: np.ndarray) -> np.ndarray:
 
 def forward_eval(op: MonotoneOperator, x: np.ndarray) -> np.ndarray:
     """Evaluate T(x) for a forward-capable operator."""
-    if not op.forward_evaluable:
+    if op._forward is None:
         raise CapabilityError(f"operator '{op.name}' is not forward-evaluable")
     return checked_entries(op.space, op._forward(_argument(op, x)))
 
@@ -93,12 +93,12 @@ def prox_eval(op: MonotoneOperator, rho: float, a: np.ndarray) -> ProxResult:
 
     The pair (x, y) satisfies x + rho*y = a by construction, with y in T(x).
     """
-    if not op.prox_evaluable:
+    if op._prox is None:
         raise CapabilityError(f"operator '{op.name}' is not prox-evaluable")
     if rho <= 0:
         raise ConfigError(f"prox stepsize rho must be > 0, got {rho}")
     x = checked_entries(op.space, op._prox(_argument(op, a), float(rho)))
-    return ProxResult(x=x, y=(a - x) / rho)
+    return ProxResult(x, (a - x) / rho)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,8 @@ def error_inequality_gaps(e: np.ndarray, result: ProxResult, z_block: np.ndarray
     """Slack of the two admissibility inequalities; both must be >= 0."""
     gz_minus_x = z_block - result.x
     y_minus_w = result.y - w_block
-    g1 = np.dot(gz_minus_x, e) + sigma * np.dot(gz_minus_x, gz_minus_x)
-    g2 = rho * sigma * np.dot(y_minus_w, y_minus_w) - np.dot(e, y_minus_w)
+    g1 = gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x)
+    g2 = rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w)
     return float(g1), float(g2)
 
 

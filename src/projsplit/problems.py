@@ -16,6 +16,7 @@ a three-block problem with dense compositions and a skew forward block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -483,11 +484,33 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
 # registry for configuration-driven construction
 # ---------------------------------------------------------------------------
 
+def _integer(name: str, value, lo: int = 1) -> int:
+    """A problem parameter that must be an integer >= lo; ConfigError naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        want = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        raise ConfigError(f"problem parameter '{name}' must be {want}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, *, positive: bool = False) -> float:
+    """A problem parameter that must be a finite number (> 0 if ``positive``)."""
+    number = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number) or (positive and number <= 0):
+        want = "a finite number > 0" if positive else "a finite number"
+        raise ConfigError(f"problem parameter '{name}' must be {want}, got {value!r}")
+    return number
+
+
 def _build_lasso(params):
-    seed = int(params.pop("seed", 0))
-    m = int(params.pop("m", 20))
-    d = int(params.pop("d", 50))
-    lam_factor = float(params.pop("lam_factor", 0.1))
+    seed = _integer("seed", params.pop("seed", 0), lo=0)
+    m = _integer("m", params.pop("m", 20))
+    d = _integer("d", params.pop("d", 50))
+    lam_factor = _real("lam_factor", params.pop("lam_factor", 0.1), positive=True)
     rng = np.random.default_rng([seed, 101])
     a_mat = rng.standard_normal((m, d))
     b = rng.standard_normal(m)
@@ -496,24 +519,34 @@ def _build_lasso(params):
 
 
 def _build_box_cubic(params):
-    seed = int(params.pop("seed", 7))
-    dim = int(params.pop("dim", 3))
+    seed = _integer("seed", params.pop("seed", 7), lo=0)
+    dim = _integer("dim", params.pop("dim", 3))
     rng = np.random.default_rng([seed, 202])
     c = rng.uniform(-9.0, 9.0, dim)
     return make_box_cubic(c, -np.ones(dim), np.ones(dim))
 
 
 def _build_signed_sqrt(params):
-    dim = int(params.pop("dim", 4))
     c = params.pop("c", 0.0)
-    c_arr = np.full(dim, float(c)) if np.isscalar(c) else np.asarray(c, dtype=float)
+    if isinstance(c, (list, tuple)):
+        dim = _integer("dim", params.pop("dim", len(c)))
+        if len(c) != dim:
+            raise ConfigError(f"problem parameter 'c' has {len(c)} entries but dim is {dim}")
+        c_arr = np.array([_real(f"c[{j}]", cj) for j, cj in enumerate(c)])
+    else:
+        dim = _integer("dim", params.pop("dim", 4))
+        c_arr = np.full(dim, _real("c", c))
     return make_signed_sqrt(c_arr)
 
 
 def _build_skew_composed(params):
-    seed = int(params.pop("seed", 1234))
-    dims = tuple(int(v) for v in params.pop("dims", (8, 6, 10)))
-    lam = float(params.pop("lam", 1.0))
+    seed = _integer("seed", params.pop("seed", 1234), lo=0)
+    dims = params.pop("dims", (8, 6, 10))
+    if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+        raise ConfigError(f"problem parameter 'dims' must be a list of 3 positive integers, "
+                          f"got {dims!r}")
+    dims = tuple(_integer(f"dims[{j}]", v) for j, v in enumerate(dims))
+    lam = _real("lam", params.pop("lam", 1.0), positive=True)
     return make_skew_composed(seed, dims, lam)
 
 
@@ -541,6 +574,9 @@ def build(kind: str, params: Mapping | None = None) -> tuple[ProblemSpec, Refere
     if params:
         raise ConfigError(f"unknown parameter(s) for problem '{kind}': {sorted(params)}")
     if partition is not None:
-        spec = spec.with_partition(int(i) - 1 for i in partition)
+        if not isinstance(partition, (list, tuple)):
+            raise ConfigError(f"problem parameter 'forward_blocks' must be a list of block "
+                              f"numbers, got {partition!r}")
+        spec = spec.with_partition([_integer("forward_blocks", i) - 1 for i in partition])
         spec.validate()
     return spec, ref

@@ -11,7 +11,11 @@ than assumed of the policy:
   1 <= d(i,k) <= k and k - d(i,k) <= D.
 
 Selection and delays are pure functions of (policy, k, block), seeded per
-iteration, so replays are identical regardless of evaluation order.
+iteration, so replays are identical regardless of evaluation order. A
+``full`` policy selects every block at every iteration, and a zero-delay
+policy (``delay_kind="zero"`` or ``D=0``) always reads the current iterate;
+the engine then skips :func:`select_blocks` under the first, and
+:func:`delayed_index` and the :class:`HistoryBuffer` under the second.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HistoryError
-from .linalg import PrimalDualPoint
 
 _SELECT_STREAM = 1
 _DELAY_STREAM = 2
@@ -111,7 +114,10 @@ def delayed_index(policy: SchedulePolicy, i: int, k: int) -> int:
 
 
 class HistoryBuffer:
-    """Ring of the last D+1 primal-dual points, keyed by iteration number.
+    """Ring of the last D+1 iterates, keyed by iteration number.
+
+    The engine stores its iterates as ``(z, w)`` pairs of read-only arrays;
+    the buffer keeps whatever it is given.
 
     Reads outside the retention window raise :class:`HistoryError`; given
     the staleness bound that can only happen through a scheduling bug.
@@ -121,10 +127,10 @@ class HistoryBuffer:
         if depth < 0:
             raise ConfigError(f"history depth must be >= 0, got {depth}")
         self.depth = depth
-        self._slots: dict[int, PrimalDualPoint] = {}
+        self._slots: dict[int, object] = {}
         self._latest = 0
 
-    def store(self, k: int, point: PrimalDualPoint):
+    def store(self, k: int, point):
         if k <= self._latest:
             raise HistoryError(f"iterates must be stored in order: got {k} after {self._latest}")
         self._slots[k] = point
@@ -133,7 +139,7 @@ class HistoryBuffer:
         if stale in self._slots:
             del self._slots[stale]
 
-    def read(self, j: int) -> PrimalDualPoint:
+    def read(self, j: int):
         if j not in self._slots:
             raise HistoryError(
                 f"iterate {j} is outside the retention window "

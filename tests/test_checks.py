@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -113,7 +111,7 @@ def test_scaled_pi_breaks_pi_identity(monkeypatch):
 
     def scaled(*args):
         sep = original(*args)
-        return dataclasses.replace(sep, pi=sep.pi * (1.0 + 1e-6))
+        return sep._replace(pi=sep.pi * (1.0 + 1e-6))
 
     monkeypatch.setattr(projsplit.engine, "evaluate_separator", scaled)
     spec, _ = build("lasso", {})

@@ -173,6 +173,19 @@ def test_wrong_shaped_operator_output_exits_3(tmp_path, capsys, monkeypatch, mak
     assert cli.main(["verify", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("problem", [{"kind": "lasso", "d": 0}, {"kind": "box_cubic", "dim": 0},
+                                     {"kind": "lasso", "m": "x"},
+                                     {"kind": "signed_sqrt", "dim": -1}],
+                         ids=["lasso-d", "box_cubic-dim", "lasso-m", "signed_sqrt-dim"])
+def test_bad_problem_parameter_exits_1(tmp_path, capsys, problem):
+    # unvalidated, these would escape cli.main as ValueError/ShapeError tracebacks
+    cfg = write_config(tmp_path, {"problem": problem})
+    for command in (["run", "--config", cfg, "--out", str(tmp_path / "o")],
+                    ["verify", "--config", cfg]):
+        assert cli.main(command) == 1
+        assert capsys.readouterr().err.startswith("error: problem parameter ")
+
+
 def test_verify_reports_failures_with_exit_4(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, LASSO_SMALL)
 

@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, ErrorPolicy,
-                       LinearMap, MonotoneOperator, OperatorSlot, PrimalDualPoint,
-                       ProblemSpec, SchedulePolicy, Space, Vec, affine_monotone, affine_value,
+                       LinearMap, MonotoneOperator, OperatorSlot, ProblemSpec,
+                       SchedulePolicy, Space, Vec, affine_monotone, affine_value,
                        backward_update, box_normal_cone, build, cube, evaluate_separator,
                        forward_update_with_backtrack, kkt_residual, l1_subdifferential,
                        project, run, zero_op)
@@ -206,7 +207,7 @@ IDENT = (LinearMap.identity(Space(1)),)
 
 def test_separator_consensus_gives_zero_gradient():
     blocks = _two_scalar_blocks(1.0, 2.0, 1.0, -2.0)
-    sep = evaluate_separator(blocks, PrimalDualPoint(vec(1.0), (vec(2.0),)), IDENT, 1.0)
+    sep = evaluate_separator(blocks, (arr(1.0), (arr(2.0),)), IDENT, 1.0)
     assert sep.pi == 0.0
     assert np.linalg.norm(sep.u[0]) == 0.0
     assert np.linalg.norm(sep.v) == 0.0
@@ -215,7 +216,7 @@ def test_separator_consensus_gives_zero_gradient():
 
 def test_separator_hand_arithmetic():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    p = PrimalDualPoint(vec(2.0), (vec(3.0),))
+    p = (arr(2.0), (arr(3.0),))
     sep = evaluate_separator(blocks, p, IDENT, 1.0)
     assert sep.u[0] == pytest.approx([-1.0])
     assert sep.v == pytest.approx([1.0])
@@ -225,20 +226,20 @@ def test_separator_hand_arithmetic():
 
 def test_separator_hand_arithmetic_flipped_dual():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    p = PrimalDualPoint(vec(2.0), (vec(-3.0),))
+    p = (arr(2.0), (arr(-3.0),))
     sep = evaluate_separator(blocks, p, IDENT, 1.0)
     assert sep.phi_at_p == pytest.approx(5.0)  # 2 + 3 - 0
 
 
 def test_affine_value_at_block_candidate_is_zero():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    q = PrimalDualPoint(vec(1.0), (vec(1.0),))  # (x_n, y_1)
+    q = (arr(1.0), (arr(1.0),))  # (x_n, y_1)
     assert affine_value(blocks, IDENT, q) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_affine_value_matches_separator_at_current_point():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    p = PrimalDualPoint(vec(2.0), (vec(3.0),))
+    p = (arr(2.0), (arr(3.0),))
     sep = evaluate_separator(blocks, p, IDENT, 1.0)
     assert affine_value(blocks, IDENT, p) == pytest.approx(sep.phi_at_p, rel=1e-12)
 
@@ -248,23 +249,23 @@ def test_affine_value_nonpositive_at_oracle():
     eng = Engine(spec, EngineConfig(max_iters=50))
     scale = 1.0 + np.linalg.norm(ref.z.entries)
     while eng.step().kind == "continue":
-        assert affine_value(eng.blocks, spec.maps, ref.point) <= 1e-9 * scale
+        assert affine_value(eng.blocks, spec.maps, ref.point.arrays) <= 1e-9 * scale
 
 
 def test_projection_lands_on_hyperplane():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    p = PrimalDualPoint(vec(2.0), (vec(-3.0),))
+    p = (arr(2.0), (arr(-3.0),))
     sep = evaluate_separator(blocks, p, IDENT, 1.0, beta=1.0)
     assert sep.alpha == pytest.approx(2.5)
     p_new = project(p, sep, 1.0)
-    assert p_new.z.entries == pytest.approx([-0.5])
-    assert p_new.w[0].entries == pytest.approx([-0.5])
+    assert p_new[0] == pytest.approx([-0.5])
+    assert p_new[1][0] == pytest.approx([-0.5])
     assert affine_value(blocks, IDENT, p_new) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_noop_when_phi_nonpositive():
     blocks = _two_scalar_blocks(0.0, 1.0, 1.0, 0.0)
-    p = PrimalDualPoint(vec(2.0), (vec(3.0),))  # phi = -1
+    p = (arr(2.0), (arr(3.0),))  # phi = -1
     sep = evaluate_separator(blocks, p, IDENT, 1.0)
     assert sep.alpha == 0.0
     assert project(p, sep, 1.0) is p
@@ -505,8 +506,8 @@ def test_beta_schedule_validated_per_iteration():
 
 
 def test_iteration_builds_at_most_n_vecs(monkeypatch):
-    # only the stored iterate is a point: a projection wraps z and the n - 1
-    # dual blocks, and everything else in an iteration stays an array
+    # the iterate is a pair of arrays: a converged run wraps its final point,
+    # which is also its solution, as n Vecs (z and the n - 1 dual blocks) once
     spec, _ = build("lasso", {"m": 20, "d": 50})
     eng = Engine(spec, EngineConfig(max_iters=5000))
     calls = [0]
@@ -519,7 +520,28 @@ def test_iteration_builds_at_most_n_vecs(monkeypatch):
     monkeypatch.setattr(Vec, "__init__", counted)
     trace = eng.run()
     assert trace.status == "converged"
-    assert calls[0] <= spec.n * trace.iterations
+    assert trace.solution is trace.final_point
+    assert calls[0] == spec.n
+
+
+def test_iteration_overhead_is_at_most_60_python_calls():
+    # per-iteration interpreter overhead, counted rather than timed: wall
+    # times of small runs spread too widely to gate on
+    spec, _ = build("lasso", {"m": 20, "d": 50})
+    eng = Engine(spec, EngineConfig(max_iters=5000))
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = eng.run()
+    finally:
+        sys.setprofile(None)
+    assert trace.status == "converged" and trace.iterations == 644
+    assert calls[0] <= 60 * trace.iterations
 
 
 def test_determinism_across_runs():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,43 @@ def test_registry_unknown_kind_and_params():
         build("ridge", {})
     with pytest.raises(ConfigError, match="unknown parameter"):
         build("lasso", {"bandwidth": 3})
+
+
+# (kind, params, the parameter the error must name); unvalidated, the first
+# four would reach numpy or Space and raise ValueError or ShapeError
+BAD_PARAMS = [
+    ("lasso", {"d": 0}, "d"),
+    ("box_cubic", {"dim": 0}, "dim"),
+    ("lasso", {"m": "x"}, "m"),
+    ("signed_sqrt", {"dim": -1}, "dim"),
+    ("lasso", {"seed": -1}, "seed"),
+    ("lasso", {"m": 2.5}, "m"),
+    ("lasso", {"lam_factor": float("nan")}, "lam_factor"),
+    ("lasso", {"lam_factor": 0.0}, "lam_factor"),
+    ("box_cubic", {"seed": True}, "seed"),
+    ("signed_sqrt", {"c": float("inf")}, "c"),
+    ("signed_sqrt", {"c": 10 ** 400}, "c"),
+    ("signed_sqrt", {"c": [1.0, "x"]}, "c[1]"),
+    ("signed_sqrt", {"dim": 3, "c": [1.0, 2.0]}, "c"),
+    ("skew_composed", {"dims": [8, 6]}, "dims"),
+    ("skew_composed", {"dims": [8, 0, 10]}, "dims[1]"),
+    ("skew_composed", {"lam": -1.0}, "lam"),
+    ("lasso", {"forward_blocks": ["x"]}, "forward_blocks"),
+]
+
+
+@pytest.mark.parametrize("kind, params, name", BAD_PARAMS,
+                         ids=[f"{k}-{n}-{str(p[n])[:8] if n in p else 'list'}"
+                              for k, p, n in BAD_PARAMS])
+def test_bad_problem_parameters_raise_config_error_naming_them(kind, params, name):
+    with pytest.raises(ConfigError, match=f"parameter '{re.escape(name)}'"):
+        build(kind, params)
+
+
+def test_signed_sqrt_dimension_follows_a_list_of_c():
+    spec, ref = build("signed_sqrt", {"c": [1.0, -2.0, 0.5]})
+    assert spec.space0.dim == 3
+    assert kkt_residual(spec, ref.z, ref.w) <= ref.accuracy
 
 
 def test_partition_override_requires_capability():

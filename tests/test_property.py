@@ -1,14 +1,20 @@
 """Every valid configuration on the built-ins ends in a documented status.
 
 Extreme stepsizes and metric weights may overflow, stall or converge; what
-they must not do is escape ``run()`` or ``cli.main`` as a traceback.
+they must not do is escape ``run()`` or ``cli.main`` as a traceback. An
+invalid problem parameter is a ``ConfigError`` that names it, and
+``projsplit run`` exits 1 with ``error:``.
 """
 
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from projsplit import ConfigError, build, cli, parse_config, run
@@ -57,3 +63,51 @@ def test_run_and_cli_end_in_a_documented_status(problem, rho, gamma, max_iters, 
         trace = run(spec, cfg.engine, cfg.schedule, cfg.errors)
     assert trace.status in STATUS_EXIT
     assert code == STATUS_EXIT[trace.status]
+
+
+NAN, INF = float("nan"), float("inf")
+# invalid values per parameter type
+INVALID = {
+    "size": [0, -1, 2.5, "x", None, True, NAN, INF, [3]],
+    "seed": [-1, 2.5, "x", None, True, NAN],
+    "positive": [0, -1.0, -INF, INF, NAN, "x", None, True],
+    "real": [INF, -INF, NAN, "x", None, True],
+}
+PARAMETERS = {
+    "lasso": {"seed": "seed", "m": "size", "d": "size", "lam_factor": "positive"},
+    "box_cubic": {"seed": "seed", "dim": "size"},
+    "signed_sqrt": {"dim": "size", "c": "real"},
+    "skew_composed": {"seed": "seed", "dims": "size", "lam": "positive"},
+}
+
+
+@st.composite
+def bad_problems(draw):
+    """A drawn problem with one parameter replaced by an invalid value, and that name."""
+    problem = dict(draw(PROBLEMS))
+    types = PARAMETERS[problem["kind"]]
+    name = draw(st.sampled_from(sorted(types)))
+    value = draw(st.sampled_from(INVALID[types[name]]))
+    if name == "dims":
+        j = draw(st.integers(0, 2))
+        problem["dims"] = [*problem["dims"][:j], value, *problem["dims"][j + 1:]]
+        name = f"dims[{j}]"
+    else:
+        problem[name] = value
+    return problem, name
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(drawn=bad_problems())
+def test_invalid_problem_parameters_are_config_errors(drawn):
+    problem, name = drawn
+    params = {k: v for k, v in problem.items() if k != "kind"}
+    with pytest.raises(ConfigError, match=re.escape(f"problem parameter '{name}'")):
+        build(problem["kind"], params)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"problem": problem}))
+        code = cli.main(["run", "--config", str(path), "--out", tmp])
+    assert code == 1
+    assert err.getvalue().startswith(f"error: problem parameter '{name}'")
