@@ -13,11 +13,12 @@ Schema (all sections optional except ``problem``):
       "output":   {"trace": "trace.csv", "summary": "summary.json"}
     }
 
-Omitted fields take the documented defaults. When ``schedule.seed`` or
-``errors.seed`` are omitted they derive from the top-level seed (seed and
-seed+1), so one number reproduces a whole run. Unknown keys are rejected
-by name. All run state lives in the file; there are no environment
-overrides.
+Omitted fields take the documented defaults. Seeds are integers >= 0.
+When ``schedule.seed`` or ``errors.seed`` are omitted they derive from the
+top-level seed (seed and seed+1), so one number reproduces a whole run.
+Unknown keys are rejected by name, and a field of the wrong type or out of
+range is a ``ConfigError`` that names it. All run state lives in the file;
+there are no environment overrides.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .engine import EngineConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked_integer
 from .operators import ErrorPolicy
 from .scheduler import SchedulePolicy
 
@@ -49,6 +50,7 @@ class RunConfig:
         """Command-line overrides; a new seed re-derives the section seeds."""
         cfg = self
         if seed is not None:
+            seed = checked_integer("seed", seed, lo=0)
             cfg = dataclasses.replace(
                 cfg, seed=seed,
                 schedule=dataclasses.replace(cfg.schedule, seed=seed),
@@ -90,9 +92,7 @@ def parse_config(text: str) -> RunConfig:
     problem = dict(problem)
     kind = problem.pop("kind")
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = checked_integer("seed", data.get("seed", 0), lo=0)
 
     engine_section = dict(data.get("engine", {}))
     _reject_unknown(engine_section, _ENGINE_FIELDS, "'engine'")

@@ -59,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError,
-                     ShapeError)
+                     ShapeError, checked_integer, checked_real)
 # derived_wn, gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py
 # wraps them here
 from .linalg import (PrimalDualPoint, Space, Vec, all_finite, derived_wn,  # noqa: F401
@@ -82,7 +82,9 @@ class EngineConfig:
     stepsize (rho_init before its first update).
     quickstop_eps is the relative tolerance for the immediate-accept branch
     of the linesearch, and pi_zero_eps the threshold below which the
-    separator gradient is treated as exactly zero.
+    separator gradient is treated as exactly zero. Every real field must be
+    a finite number and max_backtracks/max_iters integers; booleans are
+    rejected.
     """
 
     gamma: float = 1.0
@@ -100,8 +102,18 @@ class EngineConfig:
     pi_zero_eps: float = 1e-24
 
     def validate(self, n: int | None = None):
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        for name in ("gamma", "delta", "tol_primal", "tol_dual"):
+            checked_real(name, getattr(self, name), positive=True)
+        for name in ("beta", "beta_lo", "beta_hi", "nu", "quickstop_eps", "pi_zero_eps"):
+            checked_real(name, getattr(self, name))
+        checked_integer("max_backtracks", self.max_backtracks)
+        checked_integer("max_iters", self.max_iters, lo=0)
+        rho = self.rho_init
+        rho = tuple(rho) if isinstance(rho, (tuple, list, np.ndarray)) else (rho,)
+        for r in rho:
+            checked_real("rho_init", r, positive=True)
+        if n is not None and len(rho) not in (1, n):
+            raise ConfigError(f"rho_init must be scalar or length {n}, got length {len(rho)}")
         if not 0 < self.beta_lo <= self.beta_hi:
             raise ConfigError(f"need 0 < beta_lo <= beta_hi, got ({self.beta_lo}, {self.beta_hi})")
         if not self.beta_hi < 2:
@@ -111,23 +123,6 @@ class EngineConfig:
                               f"[{self.beta_lo}, {self.beta_hi}], got {self.beta}")
         if not 0 < self.nu < 1:
             raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if not isinstance(self.max_backtracks, int) or self.max_backtracks < 1:
-            raise ConfigError(f"max_backtracks must be a positive integer, got {self.max_backtracks}")
-        rho = np.atleast_1d(np.asarray(self.rho_init, dtype=float))
-        for r in rho:
-            if not 0 < r < np.inf:
-                raise ConfigError(f"rho_init must be finite and > 0, got {r}")
-        if n is not None:
-            if rho.shape[0] not in (1, n):
-                raise ConfigError(f"rho_init must be scalar or length {n}, got length {rho.shape[0]}")
-        if not self.tol_primal > 0:
-            raise ConfigError(f"tol_primal must be > 0, got {self.tol_primal}")
-        if not self.tol_dual > 0:
-            raise ConfigError(f"tol_dual must be > 0, got {self.tol_dual}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 0:
-            raise ConfigError(f"max_iters must be a nonnegative integer, got {self.max_iters}")
         if self.quickstop_eps < 0:
             raise ConfigError(f"quickstop_eps must be >= 0, got {self.quickstop_eps}")
         if self.pi_zero_eps < 0:
@@ -406,8 +401,9 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.config.validate(problem.n)
         problem.validate()
-        self.schedule = (schedule if schedule is not None else SchedulePolicy()).resolved(problem.n)
-        self.error_policy = (error_policy if error_policy is not None else ErrorPolicy()).fresh()
+        self.schedule = (schedule.resolved(problem.n) if schedule is not None
+                         else SchedulePolicy(M=problem.n))
+        self.error_policy = error_policy.fresh() if error_policy is not None else ErrorPolicy()
         self.beta_schedule = beta_schedule
         self.alpha_hook = alpha_hook
 

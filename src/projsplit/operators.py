@@ -14,12 +14,13 @@ hand a callable a read-only view of its argument and pass its output through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, ShapeError
+from .errors import CapabilityError, ConfigError, ShapeError, checked_integer, checked_real
 from .linalg import Space, checked_entries
 
 
@@ -118,6 +119,7 @@ class ErrorPolicy:
     mode injects nothing; ``seeded-random`` draws a direction from a seeded
     generator, scales it to ``magnitude``, and halves it until both
     inequalities hold (falling back to zero, which always satisfies them).
+    sigma and magnitude are finite numbers, seed an integer >= 0.
     """
 
     sigma: float = 0.0
@@ -127,12 +129,13 @@ class ErrorPolicy:
     _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < 1.0:
+        if not 0.0 <= checked_real("sigma", self.sigma) < 1.0:
             raise ConfigError(f"sigma must lie in [0, 1), got {self.sigma}")
         if self.mode not in ("none", "seeded-random"):
             raise ConfigError(f"error mode must be 'none' or 'seeded-random', got {self.mode!r}")
-        if self.magnitude < 0:
+        if checked_real("magnitude", self.magnitude) < 0:
             raise ConfigError(f"error magnitude must be >= 0, got {self.magnitude}")
+        checked_integer("error seed", self.seed, lo=0)
 
     def fresh(self) -> "ErrorPolicy":
         """A copy with a newly seeded generator; one per solver run."""
@@ -171,7 +174,8 @@ def inject_error(policy: ErrorPolicy, base_input: np.ndarray, op: MonotoneOperat
         return zero, prox_eval(op, rho, base_input)
 
     direction = policy.rng.standard_normal(base_input.shape[0])
-    nrm = np.linalg.norm(direction)
+    # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
+    nrm = math.sqrt(direction.dot(direction))
     if nrm == 0.0:
         return zero, prox_eval(op, rho, base_input)
     e = policy.magnitude * direction / nrm
@@ -195,7 +199,14 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
 
     Monotonicity is checked at construction through the smallest eigenvalue
     of the symmetric part, a cheap guard at the scales this library targets.
-    Supports both forward evaluation and the resolvent (a linear solve).
+    Supports both forward evaluation and the resolvent
+    x = (I + rho*M)^{-1}(a - rho*b). The resolvent keeps the explicit
+    inverse R = (I + rho*M)^{-1} and rho*b for the last rho it was called
+    with, so a call at an unchanged rho costs one matrix-vector product.
+    Forming the inverse is numerically safe here: for monotone M,
+    <(I + rho*M)x, x> >= ||x||^2, so ||R|| <= 1 and
+    cond(I + rho*M) <= 1 + rho*||M||. The result depends only on (a, rho),
+    not on which rho came before.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -206,16 +217,30 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
     lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
     if lam_min < -1e-10:
         raise ConfigError(f"matrix is not monotone: min eig of symmetric part = {lam_min:.3e}")
-    dim = m.shape[0]
-    eye = np.eye(dim)
 
     def fwd(x):
         return m @ x + b
 
-    def prox(a, rho):
-        return np.linalg.solve(eye + rho * m, a - rho * b)
+    return MonotoneOperator(Space(m.shape[0]), forward=fwd, prox=_linear_resolvent(m, -b),
+                            name="affine")
 
-    return MonotoneOperator(Space(dim), forward=fwd, prox=prox, name="affine")
+
+def _linear_resolvent(m: np.ndarray, c: np.ndarray):
+    """The resolvent (a, rho) -> (I + rho*m)^{-1}(a + rho*c) of T(x) = m x - c, for monotone m.
+
+    It keeps (I + rho*m)^{-1} and rho*c for the last rho it was called with.
+    """
+    eye = np.eye(m.shape[0])
+    cached = (None, None, None)  # (rho, inverse, rho*c), replaced as one tuple
+
+    def prox(a, rho):
+        nonlocal cached
+        state = cached
+        if state[0] != rho:
+            state = cached = (rho, np.linalg.inv(eye + rho * m), rho * c)
+        return state[1] @ (a + state[2])
+
+    return prox
 
 
 def shifted_identity(shift) -> MonotoneOperator:
@@ -235,23 +260,24 @@ def shifted_identity(shift) -> MonotoneOperator:
 
 
 def gradient_quadratic(design, target) -> MonotoneOperator:
-    """Gradient of the least-squares loss 0.5*||A x - b||^2: T(x) = A^T(A x - b)."""
+    """Gradient of the least-squares loss 0.5*||A x - b||^2: T(x) = A^T(A x - b).
+
+    The resolvent x = (I + rho*A^T A)^{-1}(v + rho*A^T b) keeps the explicit
+    inverse and rho*A^T b for the last rho, as :func:`affine_monotone` does;
+    A^T A is positive semidefinite, so the inverse has norm <= 1 and
+    cond(I + rho*A^T A) <= 1 + rho*||A||^2.
+    """
     a_mat = np.asarray(design, dtype=float)
     b = np.asarray(target, dtype=float).reshape(-1)
     if a_mat.ndim != 2 or a_mat.shape[0] != b.shape[0]:
         raise ShapeError("design/target shapes are inconsistent")
-    dim = a_mat.shape[1]
-    gram = a_mat.T @ a_mat
-    atb = a_mat.T @ b
-    eye = np.eye(dim)
 
     def fwd(x):
         return a_mat.T @ (a_mat @ x - b)
 
-    def prox(v, rho):
-        return np.linalg.solve(eye + rho * gram, v + rho * atb)
-
-    return MonotoneOperator(Space(dim), forward=fwd, prox=prox, name="grad-quadratic")
+    return MonotoneOperator(Space(a_mat.shape[1]), forward=fwd,
+                            prox=_linear_resolvent(a_mat.T @ a_mat, a_mat.T @ b),
+                            name="grad-quadratic")
 
 
 def l1_subdifferential(lam: float, dim: int) -> MonotoneOperator:

@@ -16,13 +16,12 @@ a three-block problem with dense compositions and a skew forward block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, checked_integer, checked_real
 from .linalg import LinearMap, PrimalDualPoint, Space, Vec, derived_wn
 from .operators import (MonotoneOperator, affine_monotone, box_normal_cone, forward_eval,
                         l1_subdifferential, prox_eval, shifted_identity, zero_op)
@@ -486,24 +485,12 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
 
 def _integer(name: str, value, lo: int = 1) -> int:
     """A problem parameter that must be an integer >= lo; ConfigError naming it otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        want = "a positive integer" if lo == 1 else f"an integer >= {lo}"
-        raise ConfigError(f"problem parameter '{name}' must be {want}, got {value!r}")
-    return int(value)
+    return checked_integer(f"problem parameter '{name}'", value, lo)
 
 
 def _real(name: str, value, *, positive: bool = False) -> float:
     """A problem parameter that must be a finite number (> 0 if ``positive``)."""
-    number = math.nan
-    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if not math.isfinite(number) or (positive and number <= 0):
-        want = "a finite number > 0" if positive else "a finite number"
-        raise ConfigError(f"problem parameter '{name}' must be {want}, got {value!r}")
-    return number
+    return checked_real(f"problem parameter '{name}'", value, positive=positive)
 
 
 def _build_lasso(params):

@@ -10,8 +10,14 @@ than assumed of the policy:
 * staleness -- a block processed at iteration k reads iterate d(i,k) with
   1 <= d(i,k) <= k and k - d(i,k) <= D.
 
-Selection and delays are pure functions of (policy, k, block), seeded per
-iteration, so replays are identical regardless of evaluation order. A
+Selection and delays are pure functions of (policy, k, block), so replays
+are identical regardless of evaluation order. They are seeded per chunk of
+C = 256 iterations: iteration k reads row (k-1) mod C of a table of
+uniforms drawn from ``default_rng([seed, stream, (k-1) div C])`` (one more
+seed word, the block, for delays). A generator is thus built once per
+chunk rather than once per iteration and block, and the tables of recent
+chunks are kept in caches of fixed size, so their memory grows neither
+with the run length nor with the number of seeds a process uses. A
 ``full`` policy selects every block at every iteration, and a zero-delay
 policy (``delay_kind="zero"`` or ``D=0``) always reads the current iterate;
 the engine then skips :func:`select_blocks` under the first, and
@@ -20,14 +26,17 @@ the engine then skips :func:`select_blocks` under the first, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, HistoryError
+from .errors import ConfigError, HistoryError, checked_integer, checked_real
 
 _SELECT_STREAM = 1
 _DELAY_STREAM = 2
+# iterations per seeded table
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,8 @@ class SchedulePolicy:
     delay_kind: "zero", "fixed" (always ``delay`` iterations back, capped at
     the start), or "seeded-random" (uniform over the admissible window).
     M=None resolves to the block count when the policy is attached to a run.
+    seed (an integer >= 0) drives both seeded kinds; their draws come from
+    one generator per chunk of 256 iterations (see the module docstring).
     """
 
     kind: str = "full"
@@ -56,15 +67,15 @@ class SchedulePolicy:
             raise ConfigError(f"schedule kind must be full/round-robin/seeded-random, got {self.kind!r}")
         if self.delay_kind not in ("zero", "fixed", "seeded-random"):
             raise ConfigError(f"delay_kind must be zero/fixed/seeded-random, got {self.delay_kind!r}")
-        if self.M is not None and (not isinstance(self.M, int) or self.M < 1):
-            raise ConfigError(f"M must be a positive integer, got {self.M}")
-        if not isinstance(self.D, int) or self.D < 0:
-            raise ConfigError(f"D must be a nonnegative integer, got {self.D}")
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        if not 0.0 < self.p_select <= 1.0:
+        if self.M is not None:
+            checked_integer("M", self.M)
+        checked_integer("D", self.D, lo=0)
+        checked_integer("block_size", self.block_size)
+        checked_integer("delay", self.delay, lo=0)
+        checked_integer("schedule seed", self.seed, lo=0)
+        if not 0.0 < checked_real("p_select", self.p_select) <= 1.0:
             raise ConfigError(f"p_select must lie in (0, 1], got {self.p_select}")
-        if self.delay_kind == "fixed" and not 0 <= self.delay <= self.D:
+        if self.delay_kind == "fixed" and not self.delay <= self.D:
             raise ConfigError(f"fixed delay must lie in [0, D={self.D}], got {self.delay}")
 
     def resolved(self, n: int) -> "SchedulePolicy":
@@ -91,9 +102,10 @@ def select_blocks(policy: SchedulePolicy, n: int, k: int, last_selected) -> tupl
         start = ((k - 1) * policy.block_size) % n
         chosen = {(start + j) % n for j in range(min(policy.block_size, n))}
     else:
-        rng = np.random.default_rng([policy.seed, _SELECT_STREAM, k])
-        draws = rng.random(n)
-        chosen = {i for i in range(n) if draws[i] < policy.p_select}
+        chunk, row = divmod(k - 1, _CHUNK)
+        draws = _selection_table(policy.seed, chunk, n)[row].tolist()
+        p_select = policy.p_select
+        chosen = {i for i in range(n) if draws[i] < p_select}
     for i in range(n):
         if k - last_selected[i] >= m_window:
             chosen.add(i)
@@ -103,14 +115,39 @@ def select_blocks(policy: SchedulePolicy, n: int, k: int, last_selected) -> tupl
 
 
 def delayed_index(policy: SchedulePolicy, i: int, k: int) -> int:
-    """The iteration whose iterate block i reads when processed at iteration k."""
-    lo = max(1, k - policy.D)
+    """The iteration whose iterate block i reads when processed at iteration k.
+
+    A seeded-random delay maps a uniform u in [0, 1) onto the window
+    [lo, k], lo = max(1, k - D), as lo + floor(u*(k + 1 - lo)), capped at
+    k against rounding.
+    """
     if policy.delay_kind == "zero":
         return k
     if policy.delay_kind == "fixed":
         return max(1, k - policy.delay)
-    rng = np.random.default_rng([policy.seed, _DELAY_STREAM, k, i])
-    return int(rng.integers(lo, k + 1))
+    lo = max(1, k - policy.D)
+    chunk, row = divmod(k - 1, _CHUNK)
+    return min(k, lo + int(_delay_draws(policy.seed, chunk, i)[row] * (k + 1 - lo)))
+
+
+# The draws of one chunk for one seed: a (C, n) table for selection, a
+# length-C vector per block for delays. A run needs only its current chunk,
+# so the caches hold just the most recent tables; the selection cache is the
+# smaller since its tables grow with n. The tables are read-only because
+# every caller shares them.
+
+@functools.lru_cache(maxsize=64)
+def _selection_table(seed: int, chunk: int, n: int) -> np.ndarray:
+    table = np.random.default_rng([seed, _SELECT_STREAM, chunk]).random((_CHUNK, n))
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=1024)
+def _delay_draws(seed: int, chunk: int, i: int) -> np.ndarray:
+    draws = np.random.default_rng([seed, _DELAY_STREAM, chunk, i]).random(_CHUNK)
+    draws.setflags(write=False)
+    return draws
 
 
 class HistoryBuffer:

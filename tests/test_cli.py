@@ -98,7 +98,7 @@ CONFIG_TRACE_SHA256 = {
     "lasso": "74de62c4c75f863b4d3a61179e2896cd69f5cc2a93c4e3b9dbd133a29ca6379b",
     "lasso_inexact": "e503383ac1e42aa463cb107db0f9db3678fe96a2e9326311d6f044e63b3a9595",
     "signed_sqrt": "b84ec6e7c9c51f16cbab6dc5cfab606186d1708d9abfd751e789327f5cdf7c32",
-    "box_cubic_async": "79da505c73d0cc27d362d968c47a3a1632644b598dd10578b18cbc03d9728492",
+    "box_cubic_async": "a2ddadf46d5d86d145be55a51443ef229b9ab5d0e2b115ff23a61659554789bd",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -184,6 +184,40 @@ def test_bad_problem_parameter_exits_1(tmp_path, capsys, problem):
                     ["verify", "--config", cfg]):
         assert cli.main(command) == 1
         assert capsys.readouterr().err.startswith("error: problem parameter ")
+
+
+BOX_ASYNC = {"problem": {"kind": "box_cubic"}, "engine": {"max_iters": 50},
+             "schedule": {"kind": "seeded-random", "delay_kind": "seeded-random", "D": 2}}
+# (section or None for the top level, field, value); each escaped cli.main as a
+# traceback, ran to a misleading status or was accepted before fields were validated
+BAD_FIELDS = [
+    ("schedule", "seed", -1), (None, "seed", -1), ("errors", "seed", -3),
+    ("errors", "magnitude", float("inf")), ("errors", "magnitude", float("nan")),
+    ("schedule", "block_size", 1.5), ("schedule", "M", True),
+    ("engine", "gamma", float("inf")), ("engine", "pi_zero_eps", float("nan")),
+    ("engine", "max_iters", True), ("engine", "max_backtracks", True),
+    ("engine", "delta", float("inf")),
+]
+
+
+@pytest.mark.parametrize("section, name, value", BAD_FIELDS,
+                         ids=[f"{s or 'top'}-{n}-{v}" for s, n, v in BAD_FIELDS])
+def test_bad_config_field_exits_1_naming_it(tmp_path, capsys, section, name, value):
+    doc = json.loads(json.dumps(BOX_ASYNC))
+    doc["errors"] = {"mode": "seeded-random", "sigma": 0.5, "magnitude": 0.1}
+    (doc if section is None else doc[section])[name] = value
+    cfg = write_config(tmp_path, doc)
+    for command in (["run", "--config", cfg, "--out", str(tmp_path / "o")],
+                    ["verify", "--config", cfg]):
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+
+def test_negative_seed_override_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOX_ASYNC)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--seed-override", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed ")
 
 
 def test_verify_reports_failures_with_exit_4(tmp_path, capsys, monkeypatch):

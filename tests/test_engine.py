@@ -9,7 +9,7 @@ from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, E
                        SchedulePolicy, Space, Vec, affine_monotone, affine_value,
                        backward_update, box_normal_cone, build, cube, evaluate_separator,
                        forward_update_with_backtrack, kkt_residual, l1_subdifferential,
-                       project, run, zero_op)
+                       make_skew_composed, project, run, zero_op)
 from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import update_gap
 from projsplit.engine import BlockState
@@ -542,6 +542,31 @@ def test_iteration_overhead_is_at_most_60_python_calls():
         sys.setprofile(None)
     assert trace.status == "converged" and trace.iterations == 644
     assert calls[0] <= 60 * trace.iterations
+
+
+def test_async_inexact_iteration_overhead_is_at_most_120_python_calls():
+    # the benchmark's async_inexact_verify schedule and errors, unchecked:
+    # block selection, delay draws and the cached dense resolvent each cost
+    # O(1) Python calls per iteration (176 per iteration with a generator
+    # seeded per iteration and block and a solve per resolvent)
+    spec, _ = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=0)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
+    eng = Engine(spec, EngineConfig(max_iters=20000), schedule, errors)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = eng.run()
+    finally:
+        sys.setprofile(None)
+    assert trace.status == "converged"
+    assert calls[0] <= 120 * trace.iterations
 
 
 def test_determinism_across_runs():

@@ -167,6 +167,62 @@ def test_resolvent_identity(seed, rho):
         assert np.linalg.norm(res.x + rho * res.y - a) <= 1e-10 * (1.0 + np.linalg.norm(a))
 
 
+def _dense_resolvents(seed):
+    """An affine operator with a non-symmetric monotone M and a least-squares gradient,
+    each with its T for checking y in T(x)."""
+    rng = np.random.default_rng([seed, 41])
+    dim = 5
+    raw = rng.standard_normal((dim, dim))
+    root = rng.standard_normal((dim, dim))
+    m = (raw - raw.T) + root.T @ root  # skew plus positive semidefinite
+    b = rng.standard_normal(dim)
+    a_mat, target = rng.standard_normal((dim + 2, dim)), rng.standard_normal(dim + 2)
+    return [(affine_monotone(m, b), lambda x: m @ x + b),
+            (gradient_quadratic(a_mat, target), lambda x: a_mat.T @ (a_mat @ x - target))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_rho=st.floats(-3.0, 3.0))
+def test_cached_resolvents_solve_the_inclusion(seed, log_rho):
+    rho = 10.0 ** log_rho
+    rng = np.random.default_rng(seed)
+    for op, t in _dense_resolvents(seed):
+        for _ in range(3):  # the second and third calls hit the cached inverse
+            a = 10 * rng.standard_normal(5)
+            x, y = prox_eval(op, rho, a)
+            scale = np.linalg.norm(a) + np.linalg.norm(x)
+            assert np.linalg.norm(x + rho * y - a) <= 1e-12 * scale
+            # y in T(x): the explicit inverse solves (I + rho*T)x = a accurately
+            assert np.linalg.norm(y - t(x)) <= 1e-11 * (1.0 + np.linalg.norm(y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_rho=st.floats(-3.0, 3.0))
+def test_cached_resolvents_are_nonexpansive(seed, log_rho):
+    rho = 10.0 ** log_rho
+    rng = np.random.default_rng(seed)
+    for op, _ in _dense_resolvents(seed):
+        for _ in range(5):
+            a, b = 8 * rng.standard_normal(5), 8 * rng.standard_normal(5)
+            gap = np.linalg.norm(prox_eval(op, rho, a).x - prox_eval(op, rho, b).x)
+            assert gap <= np.linalg.norm(a - b) * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_rhos=st.tuples(st.floats(-3.0, 3.0),
+                                                          st.floats(-3.0, 3.0)))
+def test_cached_resolvents_do_not_depend_on_call_history(seed, log_rhos):
+    rho1, rho2 = (10.0 ** e for e in log_rhos)
+    a = 10 * np.random.default_rng(seed).standard_normal(5)
+    used, fresh = _dense_resolvents(seed), _dense_resolvents(seed)
+    for (op, _), (new, _) in zip(used, fresh):
+        prox_eval(op, rho1, a)
+        prox_eval(op, rho2, 2 * a)
+        again = prox_eval(op, rho1, a)
+        first = prox_eval(new, rho1, a)
+        assert np.array_equal(again.x, first.x) and np.array_equal(again.y, first.y)
+
+
 def test_shifted_identity_matches_the_affine_identity():
     rng = np.random.default_rng(5)
     b = rng.standard_normal(6)
@@ -216,6 +272,11 @@ def test_error_policy_validation():
         ErrorPolicy(mode="gaussian")
     with pytest.raises(ConfigError):
         ErrorPolicy(magnitude=-0.1)
+    for bad in (float("inf"), float("nan"), True):
+        with pytest.raises(ConfigError, match="magnitude"):
+            ErrorPolicy(mode="seeded-random", magnitude=bad)
+    with pytest.raises(ConfigError, match="seed"):
+        ErrorPolicy(seed=-1)
 
 
 def test_inject_none_mode_returns_zero_error():

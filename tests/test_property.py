@@ -2,8 +2,9 @@
 
 Extreme stepsizes and metric weights may overflow, stall or converge; what
 they must not do is escape ``run()`` or ``cli.main`` as a traceback. An
-invalid problem parameter is a ``ConfigError`` that names it, and
-``projsplit run`` exits 1 with ``error:``.
+invalid problem parameter, or an invalid engine, schedule, error or seed
+field, is a ``ConfigError`` that names it, and ``projsplit run`` exits 1
+with ``error:``.
 """
 
 import contextlib
@@ -111,3 +112,61 @@ def test_invalid_problem_parameters_are_config_errors(drawn):
         code = cli.main(["run", "--config", str(path), "--out", tmp])
     assert code == 1
     assert err.getvalue().startswith(f"error: problem parameter '{name}'")
+
+
+# invalid values per configuration field type; every field's default is valid
+INVALID_FIELD = {
+    "count": [-1, 2.5, "x", None, True, NAN, INF, [3]],  # integer >= 0
+    "size": INVALID["size"],  # integer >= 1
+    "window": [0, -1, 2.5, "x", True, NAN, INF, [3]],  # integer >= 1 or None
+    "seed": INVALID["seed"],
+    "positive": INVALID["positive"],
+    "nonnegative": [-1.0, -INF, INF, NAN, "x", None, True],
+    "real": INVALID["real"],
+    "open_unit": [0, -0.5, 1.5, INF, NAN, "x", None, True],  # (0, 1)
+    "half_open_unit": [-0.1, 1.0, INF, NAN, "x", None, True],  # [0, 1)
+    "probability": [0, -0.5, 1.5, INF, NAN, "x", None, True],  # (0, 1]
+}
+# (section or None for the top level, field) -> type
+FIELDS = {
+    ("engine", "gamma"): "positive", ("engine", "beta"): "real",
+    ("engine", "beta_lo"): "real", ("engine", "beta_hi"): "real",
+    ("engine", "nu"): "open_unit", ("engine", "delta"): "positive",
+    ("engine", "max_backtracks"): "size", ("engine", "rho_init"): "positive",
+    ("engine", "tol_primal"): "positive", ("engine", "tol_dual"): "positive",
+    ("engine", "max_iters"): "count", ("engine", "quickstop_eps"): "nonnegative",
+    ("engine", "pi_zero_eps"): "nonnegative",
+    ("schedule", "block_size"): "size", ("schedule", "p_select"): "probability",
+    ("schedule", "M"): "window", ("schedule", "D"): "count", ("schedule", "delay"): "count",
+    ("schedule", "seed"): "seed",
+    ("errors", "sigma"): "half_open_unit", ("errors", "magnitude"): "nonnegative",
+    ("errors", "seed"): "seed",
+    (None, "seed"): "seed",
+}
+
+
+@st.composite
+def bad_configs(draw):
+    """A valid drawn run configuration with one field replaced by an invalid value."""
+    doc = {"problem": draw(PROBLEMS), "schedule": dict(draw(SCHEDULES)),
+           "errors": dict(draw(ERRORS)), "engine": {"max_iters": 5}}
+    section, name = draw(st.sampled_from(sorted(FIELDS, key=str)))
+    value = draw(st.sampled_from(INVALID_FIELD[FIELDS[section, name]]))
+    (doc if section is None else doc[section])[name] = value
+    return doc, name
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(drawn=bad_configs())
+def test_invalid_config_fields_are_config_errors(drawn):
+    doc, name = drawn
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        parse_config(json.dumps(doc))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--config", str(path), "--out", tmp])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert re.search(rf"\b{name}\b", err.getvalue())
