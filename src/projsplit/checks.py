@@ -10,7 +10,8 @@ no checking) and checks, every iteration:
 * pi-identity    -- the separator's gradient norm matches an independent
                     assembly of the gradient in the weighted metric;
 * update-identity-- each block update reproduces its defining equation;
-* projection     -- an unrelaxed projection lands on the zero hyperplane;
+* projection     -- under beta = 1, the projection lands on the zero
+                    hyperplane;
 * error-bounds   -- injected prox errors satisfied their admissibility
                     inequalities;
 * stepsize-bound -- each forward block's accepted stepsize is at most its
@@ -22,6 +23,11 @@ reference: the inputs each updated :class:`~projsplit.engine.BlockState`
 keeps and the engine's last separator. No operator is evaluated here.
 Schedule guarantees (coverage window, staleness bound) are audited
 post-hoc from the trace records.
+
+Each check has a fixed tolerance, a module constant below, and a
+violation per iteration that is positive when the check fails there. A
+check's :class:`CheckResult` keeps the largest violation of the run (0 if
+none is positive) and the first iteration with a positive one.
 """
 
 from __future__ import annotations
@@ -32,9 +38,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BlockState, Engine, IterationRecord, SeparatorEval
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .linalg import PrimalDualPoint, dual_sum, gamma_norm, weighted_norm
 from .operators import ProxResult, error_inequality_gaps
+
+
+# Tolerances of the per-iteration checks. Separation and projection scale
+# theirs with the size of the values they compare (see InvariantMonitor).
+SEPARATION_TOL = 1e-9
+FEJER_SLACK = 1e-10
+PI_IDENTITY_TOL = 1e-10
+UPDATE_IDENTITY_TOL = 1e-10
+PROJECTION_TOL = 1e-9
+ERROR_ADMISSIBILITY_TOL = 1e-12
+
+_MONITOR_CHECKS = ("separation", "fejer", "pi-identity", "update-identity", "projection",
+                   "error-bounds", "stepsize-bound")
 
 
 @dataclass
@@ -117,46 +136,42 @@ def error_gap(block: BlockState, sigma: float) -> float:
     return max(0.0, -g1, -g2)
 
 
-class _Accumulator:
-    def __init__(self, name):
-        self.name = name
-        self.worst = 0.0
-        self.first_failure = None
+def _fold(worst: list, first_failure: list, violations, k: int):
+    """Fold iteration k's worst violation per check into the run's worst and first failure.
 
-    def observe(self, violation: float, iteration: int):
-        self.worst = max(self.worst, violation)
-        if violation > 0.0 and self.first_failure is None:
-            self.first_failure = iteration
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.first_failure is None, self.worst,
-                           self.first_failure)
+    A violation is positive when its check fails; ``-inf`` marks a check
+    with nothing to check at k.
+    """
+    for j, v in enumerate(violations):
+        if v > worst[j]:
+            worst[j] = v
+        if v > 0.0 and first_failure[j] is None:
+            first_failure[j] = k
 
 
 class InvariantMonitor:
     """Per-iteration verification callback; pass as ``engine.run(callback=...)``.
 
     ``reference`` enables the separation and Fejer checks; without it only
-    the self-contained identities are verified. The monitor assumes the run
-    starts from the problem's stored initial point unless ``initial_point``
-    says otherwise. After each step it reads the engine's state: the blocks
-    updated in that iteration and ``engine.separator``. Until it has seen a
-    forward block's first update, it takes that block's previous stepsize
-    to be its ``rho_init``, as the engine's initial block states do.
+    the self-contained identities are verified. The monitor measures
+    distances in the metric of ``gamma``, which must equal the engine's
+    ``config.gamma`` (a :class:`~projsplit.errors.ConfigError` otherwise,
+    on the first call). Since an engine starts at the problem's stored
+    initial point, so does the Fejer check. After each step the monitor
+    reads the engine's state: the blocks updated in that iteration and
+    ``engine.separator``. Until it has seen a forward block's first update,
+    it takes that block's previous stepsize to be its ``rho_init``, as the
+    engine's initial block states do. The tolerances are this module's
+    constants.
     """
 
-    def __init__(self, problem, gamma: float, reference=None, *,
-                 initial_point: PrimalDualPoint | None = None,
-                 separation_tol=1e-9, fejer_slack=1e-10, pi_tol=1e-10,
-                 update_tol=1e-10, projection_tol=1e-9, error_tol=1e-12):
+    def __init__(self, problem, gamma: float, reference=None):
         self.problem = problem
         self.gamma = gamma
-        self.tols = dict(separation=separation_tol, fejer=fejer_slack, pi=pi_tol,
-                         update=update_tol, projection=projection_tol, error=error_tol)
-        self._acc = {name: _Accumulator(name) for name in
-                     ("separation", "fejer", "pi-identity", "update-identity",
-                      "projection", "error-bounds", "stepsize-bound")}
+        self._worst = [0.0] * len(_MONITOR_CHECKS)
+        self._first_failure = [None] * len(_MONITOR_CHECKS)
         self._last_rho: dict[int, float] = {}
+        self.ref_point = None
         if reference is not None:
             # the reference is fixed: G_i z* and w_n(z*) are computed once
             ref = self.ref_point = reference.point
@@ -164,48 +179,47 @@ class InvariantMonitor:
             self._ref_gz = [g.apply(z_ref) for g in problem.maps]
             self._ref_wn = dual_sum(w_ref, problem.maps, z_ref.shape[0])
             self.ref_scale = 1.0 + gamma_norm(ref, gamma)
-            start = initial_point if initial_point is not None else \
-                PrimalDualPoint(problem.z_init, problem.w_init)
+            start = PrimalDualPoint(problem.z_init, problem.w_init)
             self._prev_dist = distance(start.arrays, self._ref, gamma)
-        else:
-            self.ref_point = None
-            self._prev_dist = None
 
     def __call__(self, engine: Engine, record: IterationRecord):
         k = record.iteration
-        self._acc["pi-identity"].observe(
-            pi_gap(engine.separator, engine.config.gamma) - self.tols["pi"], k)
+        config = engine.config
+        if config.gamma != self.gamma:
+            raise ConfigError(f"the monitor measures with gamma={self.gamma} but the engine "
+                              f"runs with gamma={config.gamma}; pass the engine's gamma")
+        separation = fejer = projection = update = error = stepsize = -math.inf
+        pi = pi_gap(engine.separator, config.gamma) - PI_IDENTITY_TOL
         for i in record.selected:
-            block, kind = engine.blocks[i], engine.slots[i].kind
-            self._acc["update-identity"].observe(update_gap(block, kind) - self.tols["update"], k)
-            if kind == "backward":
-                self._acc["error-bounds"].observe(
-                    error_gap(block, engine.error_policy.sigma) - self.tols["error"], k)
+            block, slot = engine.blocks[i], engine.slots[i]
+            update = max(update, update_gap(block, slot.kind) - UPDATE_IDENTITY_TOL)
+            if slot.kind == "backward":
+                error = max(error, error_gap(block, engine.error_policy.sigma)
+                            - ERROR_ADMISSIBILITY_TOL)
             else:
-                rho_init = engine.slots[i].rho_init
-                bound = min(rho_init, self._last_rho.get(i, rho_init) / engine.config.nu)
-                self._acc["stepsize-bound"].observe(block.rho - bound, k)
+                bound = min(slot.rho_init, self._last_rho.get(i, slot.rho_init) / config.nu)
+                stepsize = max(stepsize, block.rho - bound)
                 self._last_rho[i] = block.rho
 
-        if record.projected and record.phi > 0.0 and record.beta == 1.0:
+        if record.projected and record.phi > 0.0 and config.beta == 1.0:
             landed = affine_value(engine.blocks, engine.problem.maps, engine.iterate)
-            bound = self.tols["projection"] * (1.0 + abs(record.phi))
-            self._acc["projection"].observe(abs(landed) - bound, k)
+            projection = abs(landed) - PROJECTION_TOL * (1.0 + abs(record.phi))
 
         if self.ref_point is not None:
             sep_val = _affine_value(engine.blocks, self._ref_gz, self._ref, self._ref_wn)
-            self._acc["separation"].observe(sep_val - self.tols["separation"] * self.ref_scale, k)
+            separation = sep_val - SEPARATION_TOL * self.ref_scale
             dist = distance(engine.iterate, self._ref, self.gamma)
-            self._acc["fejer"].observe(dist - self._prev_dist - self.tols["fejer"], k)
+            fejer = dist - self._prev_dist - FEJER_SLACK
             self._prev_dist = dist
 
+        _fold(self._worst, self._first_failure,  # in _MONITOR_CHECKS order
+              (separation, fejer, pi, update, projection, error, stepsize), k)
+
     def results(self) -> list[CheckResult]:
-        out = []
-        for name, acc in self._acc.items():
-            if self.ref_point is None and name in ("separation", "fejer"):
-                continue
-            out.append(acc.result())
-        return out
+        return [CheckResult(name, self._first_failure[j] is None, self._worst[j],
+                            self._first_failure[j])
+                for j, name in enumerate(_MONITOR_CHECKS)
+                if self.ref_point is not None or name not in ("separation", "fejer")]
 
     @property
     def all_passed(self) -> bool:
@@ -220,25 +234,23 @@ def audit_schedule(records, n: int, m_window: int, max_delay: int) -> list[Check
     run. Staleness: every delayed read satisfies 1 <= d <= k and
     k - d <= max_delay.
     """
-    total = len(records)
-    coverage = _Accumulator("coverage")
-    staleness = _Accumulator("staleness")
+    worst, first_failure = [0.0, 0.0], [None, None]
     last_seen = [0] * n
     for rec in records:
         k = rec.iteration
         for i in rec.selected:
             last_seen[i] = k
-        for i in range(n):
-            # a gap of m_window means some window of m_window consecutive
-            # iterations never touched block i
-            coverage.observe((k - last_seen[i]) - (m_window - 1), k)
-        for i, d in zip(rec.selected, rec.delays):
-            staleness.observe((k - d) - max_delay, k)
-            staleness.observe(1 - d, k)
-    cov, stale = coverage.result(), staleness.result()
-    cov.detail = f"{total} iterations audited, window M={m_window}"
-    stale.detail = f"max allowed staleness D={max_delay}"
-    return [cov, stale]
+        # a gap of m_window means some window of m_window consecutive
+        # iterations never touched the least recently selected block
+        coverage = (k - min(last_seen)) - (m_window - 1)
+        staleness = -math.inf
+        for d in rec.delays:
+            staleness = max(staleness, (k - d) - max_delay, 1 - d)
+        _fold(worst, first_failure, (coverage, staleness), k)
+    return [CheckResult("coverage", first_failure[0] is None, worst[0], first_failure[0],
+                        f"{len(records)} iterations audited, window M={m_window}"),
+            CheckResult("staleness", first_failure[1] is None, worst[1], first_failure[1],
+                        f"max allowed staleness D={max_delay}")]
 
 
 def run_with_checks(problem, reference, config, schedule=None, error_policy=None,
@@ -249,7 +261,7 @@ def run_with_checks(problem, reference, config, schedule=None, error_policy=None
     checks with the post-hoc schedule audit.
     """
     engine = Engine(problem, config, schedule, error_policy, **engine_kwargs)
-    monitor = InvariantMonitor(problem, config.gamma if config else 1.0, reference)
+    monitor = InvariantMonitor(problem, engine.config.gamma, reference)
     trace = engine.run(callback=monitor)
     results = monitor.results()
     results += audit_schedule(trace.records, problem.n,

@@ -25,12 +25,13 @@ since initial block states carry rho = rho_init.
 
 The block results define an affine separator that is nonpositive on the
 solution set; the iterate is then projected onto its zero hyperplane,
-scaled by an overrelaxation factor. The loop stops on small residuals, on
-an exactly-zero separator gradient (which certifies the block values as a
-solution), or on the iteration budget. A run ends with the status
-``assumption-violation`` when a linesearch exhausts its trial budget, when
-an operator returns NaN/Inf or a wrong-shaped value at G z, in a trial or
-from a prox, or when NaN/Inf reaches the separator or the projection.
+scaled by the overrelaxation factor beta. The loop stops on small
+residuals, on an exactly-zero separator gradient (which certifies the
+block values as a solution), or on the iteration budget. A run ends with
+the status ``assumption-violation`` when a linesearch exhausts its trial
+budget, when an operator returns NaN/Inf or a wrong-shaped value at G z,
+in a trial or from a prox, or when NaN/Inf reaches the separator or the
+projection.
 
 The engine computes only what the iteration needs. The identities that
 verify it (update equations, gradient norm, error admissibility) are
@@ -72,14 +73,14 @@ from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_bloc
 class EngineConfig:
     """Solver parameters.
 
-    gamma weighs the primal block in the product-space metric. beta is the
-    projection overrelaxation, kept inside [beta_lo, beta_hi] with
-    0 < beta_lo <= beta_hi < 2. nu in (0,1) is the linesearch shrink factor
-    and delta > 0 its acceptance threshold. rho_init (scalar or per-block,
-    each finite and > 0) is a backward block's prox stepsize. For a forward
-    block it caps every linesearch trial: the search starts at
-    min(rho_init, rho_prev/nu), where rho_prev is the block's last accepted
-    stepsize (rho_init before its first update).
+    gamma weighs the primal block in the product-space metric. beta in
+    (0, 2) is the projection overrelaxation, the same at every iteration.
+    nu in (0,1) is the linesearch shrink factor and delta > 0 its
+    acceptance threshold. rho_init (scalar or per-block, each finite and
+    positive) is a backward block's prox stepsize. For a forward block it caps
+    every linesearch trial: the search starts at min(rho_init,
+    rho_prev/nu), where rho_prev is the block's last accepted stepsize
+    (rho_init before its first update).
     quickstop_eps is the relative tolerance for the immediate-accept branch
     of the linesearch, and pi_zero_eps the threshold below which the
     separator gradient is treated as exactly zero. Every real field must be
@@ -89,8 +90,6 @@ class EngineConfig:
 
     gamma: float = 1.0
     beta: float = 1.0
-    beta_lo: float = 1.0
-    beta_hi: float = 1.0
     nu: float = 0.5
     delta: float = 1.0
     max_backtracks: int = 200
@@ -104,7 +103,7 @@ class EngineConfig:
     def validate(self, n: int | None = None):
         for name in ("gamma", "delta", "tol_primal", "tol_dual"):
             checked_real(name, getattr(self, name), positive=True)
-        for name in ("beta", "beta_lo", "beta_hi", "nu", "quickstop_eps", "pi_zero_eps"):
+        for name in ("beta", "nu", "quickstop_eps", "pi_zero_eps"):
             checked_real(name, getattr(self, name))
         checked_integer("max_backtracks", self.max_backtracks)
         checked_integer("max_iters", self.max_iters, lo=0)
@@ -114,13 +113,8 @@ class EngineConfig:
             checked_real("rho_init", r, positive=True)
         if n is not None and len(rho) not in (1, n):
             raise ConfigError(f"rho_init must be scalar or length {n}, got length {len(rho)}")
-        if not 0 < self.beta_lo <= self.beta_hi:
-            raise ConfigError(f"need 0 < beta_lo <= beta_hi, got ({self.beta_lo}, {self.beta_hi})")
-        if not self.beta_hi < 2:
-            raise ConfigError(f"beta_hi must be < 2, got {self.beta_hi}")
-        if not self.beta_lo <= self.beta <= self.beta_hi:
-            raise ConfigError(f"beta must lie in [beta_lo, beta_hi]="
-                              f"[{self.beta_lo}, {self.beta_hi}], got {self.beta}")
+        if not 0 < self.beta < 2:
+            raise ConfigError(f"beta must lie in (0, 2), got {self.beta}")
         if not 0 < self.nu < 1:
             raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
         if self.quickstop_eps < 0:
@@ -189,7 +183,6 @@ class IterationRecord(NamedTuple):
     phi: float
     pi: float
     alpha: float
-    beta: float
     selected: tuple[int, ...]
     delays: tuple[int, ...]
     primal_residuals: tuple[float, ...]
@@ -374,6 +367,12 @@ class Engine:
     of arrays; a ``run`` callback may read all three, or ``point`` for the
     iterate as a :class:`~projsplit.linalg.PrimalDualPoint`.
 
+    A run starts at the problem's ``z_init``/``w_init`` and processes every
+    block at iteration 1, whatever the schedule, since the separator is
+    only valid for pairs in the graphs of the T_i. From then on the block
+    values are such pairs, so pi ~ 0 certifies them as a solution at any
+    iteration.
+
     Parameters
     ----------
     problem : ProblemSpec
@@ -383,20 +382,13 @@ class Engine:
     error_policy : ErrorPolicy
         Prox perturbation policy; a fresh copy is taken so generator state
         stays confined to this engine.
-    initial_blocks : sequence of (Vec, Vec), optional
-        Initial (x_i, y_i) pairs, each in the graph of T_i. Without them
-        every block is processed at iteration 1, since the separator is
-        only valid for pairs in the graphs.
-    beta_schedule : callable(int) -> float, optional
-        Per-iteration overrelaxation, validated against [beta_lo, beta_hi].
     alpha_hook : callable(float) -> float, optional
         Test instrumentation applied to the projection steplength.
     """
 
     def __init__(self, problem, config: EngineConfig | None = None,
                  schedule: SchedulePolicy | None = None,
-                 error_policy: ErrorPolicy | None = None, *,
-                 initial_blocks=None, beta_schedule=None, alpha_hook=None):
+                 error_policy: ErrorPolicy | None = None, *, alpha_hook=None):
         self.problem = problem
         self.config = config if config is not None else EngineConfig()
         self.config.validate(problem.n)
@@ -404,7 +396,6 @@ class Engine:
         self.schedule = (schedule.resolved(problem.n) if schedule is not None
                          else SchedulePolicy(M=problem.n))
         self.error_policy = error_policy.fresh() if error_policy is not None else ErrorPolicy()
-        self.beta_schedule = beta_schedule
         self.alpha_hook = alpha_hook
 
         n = self._n = problem.n
@@ -430,26 +421,16 @@ class Engine:
         if not self._zero_delay:
             self.history = HistoryBuffer(sched.D)
             self.history.store(1, self.iterate)
+        # placeholders (G_i z1, 0), not in gra T_i: marking every block
+        # overdue makes select_blocks replace them all at iteration 1, so
+        # the separator only ever sees pairs in the graphs
         z = self.iterate[0]
-        if initial_blocks is None:
-            # placeholders (G_i z1, 0), not in gra T_i: marking every block
-            # overdue makes select_blocks replace them all at iteration 1
-            self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.space.dim), s.rho_init)
-                           for s in self.slots]
-            self.last_selected = [1 - sched.M] * n
-        else:
-            self.blocks = [BlockState(x.entries, y.entries, s.rho_init)
-                           for s, (x, y) in zip(self.slots, initial_blocks)]
-            self.last_selected = [0] * n
+        self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.space.dim), s.rho_init)
+                       for s in self.slots]
+        self.last_selected = [1 - sched.M] * n
         self.k = 0
-        self.covered: set[int] = set()
-        self._fully_covered = False
         self.separator: SeparatorEval | None = None
         self.records: list[IterationRecord] = []
-
-    @property
-    def n(self) -> int:
-        return self._n
 
     @property
     def point(self) -> PrimalDualPoint:
@@ -460,13 +441,6 @@ class Engine:
                 Vec(self.problem.space0, z),
                 tuple(Vec(wi.space, w[i]) for i, wi in enumerate(self.problem.w_init)))
         return self._point
-
-    def _beta_at(self, k: int) -> float:
-        beta = float(self.beta_schedule(k))
-        if not self.config.beta_lo <= beta <= self.config.beta_hi:
-            raise ConfigError(f"beta schedule produced {beta} outside "
-                              f"[{self.config.beta_lo}, {self.config.beta_hi}] at iteration {k}")
-        return beta
 
     def step(self) -> StepOutcome:
         """Execute one outer iteration; see the module docstring for the shape."""
@@ -509,13 +483,9 @@ class Engine:
                     blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start, cfg)
             except (ShapeError, BacktrackLimitError) as exc:  # NonFiniteError is a ShapeError
                 raise _violation(k, slot, exc) from exc
-        if not self._fully_covered:
-            self.covered.update(selected)
-            self._fully_covered = len(self.covered) == n
 
-        beta_k = cfg.beta if self.beta_schedule is None else self._beta_at(k)
         try:
-            sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, beta_k)
+            sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, cfg.beta)
         except NonFiniteError as exc:
             culprit = slots[_largest_block(blocks)]
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
@@ -533,14 +503,13 @@ class Engine:
             stepsizes.append(b.rho)
         max_primal, max_dual = max(primal), max(dual)
 
-        exact = sep.pi <= cfg.pi_zero_eps and self._fully_covered
-        converged = (not exact and self._fully_covered
-                     and max_primal <= cfg.tol_primal and max_dual <= cfg.tol_dual)
-        projected = not exact and not converged and sep.pi > cfg.pi_zero_eps
+        exact = sep.pi <= cfg.pi_zero_eps
+        converged = not exact and max_primal <= cfg.tol_primal and max_dual <= cfg.tol_dual
 
         self.records.append(IterationRecord(
-            k, sep.phi_at_p, sep.pi, sep.alpha, beta_k, selected, delays, tuple(primal),
-            tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes), projected))
+            k, sep.phi_at_p, sep.pi, sep.alpha, selected, delays, tuple(primal),
+            tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes),
+            not (exact or converged)))
 
         if exact:
             solution = PrimalDualPoint(
@@ -549,14 +518,12 @@ class Engine:
             return StepOutcome("exact-termination", solution)
         if converged:
             return StepOutcome("converged", self.point)
-        if projected:
-            try:
-                new = project(p, sep, cfg.gamma, self.alpha_hook)
-            except NonFiniteError as exc:
-                raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
-            if new is not p:
-                self.iterate, self._point = new, None
-        # pi ~ 0 without full coverage: zero steplength, point carries over
+        try:
+            new = project(p, sep, cfg.gamma, self.alpha_hook)
+        except NonFiniteError as exc:
+            raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
+        if new is not p:
+            self.iterate, self._point = new, None
         if self.history is not None:
             self.history.store(k + 1, self.iterate)
         return _CONTINUE

@@ -430,22 +430,26 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
     return spec, _certify(spec, ref)
 
 
+# seeds make_skew_composed tries before it gives up on an instance
+_SKEW_SEED_TRIES = 8
+
+
 def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
                        skew_scale: float = 1.0, shift_scale: float = 1.0,
-                       identity_maps: bool = False,
-                       max_seed_tries: int = 8) -> tuple[ProblemSpec, ReferenceSolution]:
+                       identity_maps: bool = False) -> tuple[ProblemSpec, ReferenceSolution]:
     """Three blocks with dense compositions and a skew forward block.
 
     T1(u) = K u + c1 with K skew (forward, composed through a dense G1),
     T2 the l1 subdifferential composed through a dense G2 (backward), and
     T3(z) = P z + q with P positive definite (backward). Seeds producing
-    degenerate active patterns are retried with the next seed.
+    degenerate active patterns are retried with the next seed, up to
+    ``_SKEW_SEED_TRIES`` seeds in all.
     """
     d0, d1, d2 = dims
     if identity_maps and not (d0 == d1 == d2):
         raise ConfigError("identity maps require equal dimensions")
     last_err = None
-    for attempt in range(max_seed_tries):
+    for attempt in range(_SKEW_SEED_TRIES):
         use_seed = seed + attempt
         rng = np.random.default_rng([use_seed, 613])
         g1 = np.eye(d0) if identity_maps else rng.standard_normal((d1, d0)) / np.sqrt(d0)
@@ -475,7 +479,7 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
                                 provenance="smoothed Newton + active-set polish",
                                 accuracy=1e-8)
         return spec, _certify(spec, ref)
-    raise ConfigError(f"no well-posed instance within {max_seed_tries} seeds "
+    raise ConfigError(f"no well-posed instance within {_SKEW_SEED_TRIES} seeds "
                       f"starting at {seed}: {last_err}")
 
 

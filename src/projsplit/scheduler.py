@@ -182,7 +182,3 @@ class HistoryBuffer:
                 f"iterate {j} is outside the retention window "
                 f"[{max(1, self._latest - self.depth)}, {self._latest}]")
         return self._slots[j]
-
-    @property
-    def latest(self) -> int:
-        return self._latest

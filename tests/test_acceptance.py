@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import projsplit as ps
+from projsplit import checks
 
 ALL_KINDS = ("lasso", "box_cubic", "signed_sqrt", "skew_composed")
 
@@ -18,6 +19,7 @@ SEPARATION_TOL = 1e-9
 FEJER_SLACK = 1e-10
 PI_IDENTITY_TOL = 1e-10
 UPDATE_IDENTITY_TOL = 1e-10
+PROJECTION_TOL = 1e-9
 ERROR_ADMISSIBILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-6
 Z_AGREEMENT_TOL = 1e-5
@@ -35,14 +37,22 @@ def sync_config(max_iters):
 
 
 def monitor_for(spec, ref=None):
-    """An invariant monitor whose tolerances are this module's constants.
+    """An invariant monitor for a run under ``sync_config`` (gamma = 1).
 
-    Without ``ref`` it checks only the self-contained identities.
+    Its tolerances are the constants of ``projsplit.checks``, which
+    :func:`test_monitor_tolerances_are_the_criteria_tolerances` pins to this
+    module's. Without ``ref`` it checks only the self-contained identities.
     """
-    return ps.InvariantMonitor(spec, 1.0, ref, separation_tol=SEPARATION_TOL,
-                               fejer_slack=FEJER_SLACK, pi_tol=PI_IDENTITY_TOL,
-                               update_tol=UPDATE_IDENTITY_TOL,
-                               error_tol=ERROR_ADMISSIBILITY_TOL)
+    return ps.InvariantMonitor(spec, 1.0, ref)
+
+
+def test_monitor_tolerances_are_the_criteria_tolerances():
+    assert checks.SEPARATION_TOL == SEPARATION_TOL
+    assert checks.FEJER_SLACK == FEJER_SLACK
+    assert checks.PI_IDENTITY_TOL == PI_IDENTITY_TOL
+    assert checks.UPDATE_IDENTITY_TOL == UPDATE_IDENTITY_TOL
+    assert checks.PROJECTION_TOL == PROJECTION_TOL
+    assert checks.ERROR_ADMISSIBILITY_TOL == ERROR_ADMISSIBILITY_TOL
 
 
 def _report(criterion, ok=True):

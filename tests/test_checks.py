@@ -1,10 +1,14 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import projsplit.engine
-from projsplit import (Engine, EngineConfig, ErrorPolicy, InvariantMonitor, LinearMap,
-                       MonotoneOperator, ProblemSpec, SchedulePolicy, Space, Vec,
-                       audit_schedule, build, prox_eval, run_with_checks, zero_op)
+from projsplit import (ConfigError, Engine, EngineConfig, ErrorPolicy, InvariantMonitor,
+                       LinearMap, MonotoneOperator, ProblemSpec, SchedulePolicy, Space, Vec,
+                       audit_schedule, build, make_skew_composed, parse_config, prox_eval,
+                       run_with_checks, zero_op)
 from projsplit.engine import IterationRecord
 from projsplit.operators import ProxResult
 
@@ -79,6 +83,28 @@ def test_default_initial_pairs_do_not_break_separation():
     assert trace.records[0].selected == tuple(range(spec.n))
     named = _results_by_name(results)
     assert named["separation"].passed, named["separation"].first_failure
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("kind, engine_gamma, monitor_gamma",
+                         [("lasso", 4.0, 1.0), ("box_cubic", 1.0, 4.0)])
+def test_monitor_rejects_a_gamma_other_than_the_engines(kind, engine_gamma, monitor_gamma):
+    # measured in another metric than the engine's, Fejer monotonicity
+    # fails where the run is sound (lasso at iteration 26, box_cubic at 9)
+    spec, ref = build(kind, {})
+    eng = Engine(spec, EngineConfig(gamma=engine_gamma, max_iters=100))
+    mon = InvariantMonitor(spec, monitor_gamma, ref)
+    with pytest.raises(ConfigError) as err:
+        eng.run(callback=mon)
+    assert eng.k == 1
+    assert f"gamma={monitor_gamma}" in str(err.value)
+    assert f"gamma={engine_gamma}" in str(err.value)
+
+
+def test_monitor_with_the_engines_gamma_passes():
+    spec, ref = build("lasso", {})
+    trace, results = run_with_checks(spec, ref, EngineConfig(gamma=4.0, max_iters=20000))
+    assert trace.status == "converged"
     assert all(r.passed for r in results)
 
 
@@ -163,7 +189,7 @@ def test_start_above_the_bound_breaks_stepsize_bound(monkeypatch):
 def _record(iteration, selected, delays):
     n = max(max(selected, default=0) + 1, 2)
     return IterationRecord(
-        iteration=iteration, phi=0.0, pi=1.0, alpha=0.0, beta=1.0,
+        iteration=iteration, phi=0.0, pi=1.0, alpha=0.0,
         selected=tuple(selected), delays=tuple(delays),
         primal_residuals=(0.0,) * n, dual_residuals=(0.0,) * n,
         max_primal_residual=0.0, max_dual_residual=0.0,
@@ -208,3 +234,110 @@ def test_async_run_passes_audit():
     named = _results_by_name(results)
     assert named["coverage"].passed and named["coverage"].worst <= 0.0
     assert named["staleness"].passed and named["staleness"].worst <= 0.0
+
+
+# -- the verify tables, pinned -------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rows(results):
+    return [(r.name, r.passed, float(r.worst).hex(), r.first_failure, r.detail) for r in results]
+
+
+def _config_rows(name):
+    cfg = parse_config((ROOT / "configs" / f"{name}.json").read_text())
+    spec, ref = build(cfg.problem_kind, cfg.problem_params)
+    return _rows(run_with_checks(spec, ref, cfg.engine, cfg.schedule, cfg.errors)[1])
+
+
+def _async_run(seed):
+    """perfbench's async_inexact_verify instance under its schedule and error policies."""
+    spec, ref = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=seed)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=seed + 1)
+    return spec, run_with_checks(spec, ref, EngineConfig(max_iters=20000), schedule, errors)
+
+
+def _async_rows(seed):
+    return _rows(_async_run(seed)[1][1])
+
+
+def _tight_audit_rows(seed):
+    # a window and a staleness bound the schedule does not keep: nonzero worst values
+    spec, (trace, _) = _async_run(seed)
+    return _rows(audit_schedule(trace.records, spec.n, 2, 1))
+
+
+def _overshoot_rows(factor):
+    spec, ref = build("lasso", {})
+    eng = Engine(spec, EngineConfig(max_iters=300), alpha_hook=lambda a: factor * a)
+    mon = InvariantMonitor(spec, 1.0, ref)
+    eng.run(callback=mon)
+    return _rows(mon.results())
+
+
+def _corrupted_async_rows(monkeypatch):
+    # perturbed prox outputs and forward searches started above the bound:
+    # nonzero worst values for the per-block checks
+    inject, forward = projsplit.engine.inject_error, projsplit.engine.forward_update_with_backtrack
+
+    def perturbed(*args):
+        e, res = inject(*args)
+        return e, ProxResult(res.x + 1e-6, res.y)
+
+    def started_high(slot, z, w, rho_start, cfg):
+        return forward(slot, z, w, 4.0 * rho_start, cfg)
+
+    monkeypatch.setattr(projsplit.engine, "inject_error", perturbed)
+    monkeypatch.setattr(projsplit.engine, "forward_update_with_backtrack", started_high)
+    spec, ref = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=0)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
+    return _rows(run_with_checks(spec, ref, EngineConfig(max_iters=300), schedule, errors)[1])
+
+
+# sha256 of repr([(name, passed, float(worst).hex(), first_failure, detail), ...])
+VERIFY_TABLE_SHA256 = {
+    "box_cubic_async":
+        "4f50803b8a605a5b4c249a635cd90c4da2783927216dfdd04e4638d427721b24",
+    "lasso":
+        "c9fa3c85188107db7c1293acd00c5c28f3940b9d03953e2ce80c3a292abf5e81",
+    "lasso_inexact":
+        "d47b009c975923217e2e884ce6a91f1851c0d2a58333206953d0e9329f26419c",
+    "signed_sqrt":
+        "b2b7f4a18a04cd35b6fd5df563a6277fe9977014b8aa4d978471fe3c4d5259f0",
+    "async_seed_0":
+        "d81ae5d156caf858c8723c98125ec4fbb3430172046a2e318f74a7d7a4d325a7",
+    "async_seed_1000":
+        "922d3992d662a717f0438bbb33a6fa6e6267e29f1f5d0035f2c6e55f4e5f6c22",
+    "async_seed_0_tight_audit":
+        "85c7d3cfa381f6e33f3beca204ae383963f35f62db30d6a5fe41054b55c68091",
+    "lasso_alpha_1.5":
+        "2e460141977cf126f480bb8bd89ad32bf74e1dd52e698bb5e328fdb08d1fb0ad",
+    "lasso_alpha_2.5":
+        "cefad201ff5b9e3f02f59cf1898a1156bad98edcf9544223bb438d9f22dcf92c",
+    "async_corrupted":
+        "bb74caebe7a3bb26b9890e4f843eea9fd8de6987f16bca782863e3b719c24303",
+}
+
+
+def _verify_rows(case, monkeypatch):
+    if case in ("async_seed_0", "async_seed_1000"):
+        return _async_rows(int(case.rsplit("_", 1)[1]))
+    if case == "async_seed_0_tight_audit":
+        return _tight_audit_rows(0)
+    if case.startswith("lasso_alpha_"):
+        return _overshoot_rows(float(case.rsplit("_", 1)[1]))
+    if case == "async_corrupted":
+        return _corrupted_async_rows(monkeypatch)
+    return _config_rows(case)
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_TABLE_SHA256))
+def test_verify_tables_are_unchanged(case, monkeypatch):
+    rows = _verify_rows(case, monkeypatch)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == VERIFY_TABLE_SHA256[case], rows

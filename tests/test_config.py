@@ -33,10 +33,10 @@ def test_section_seeds_derive_from_top_seed():
 
 
 def test_beta_bound_rejection_names_the_bound():
-    bad = '{"problem": {"kind": "lasso"}, "engine": {"beta_hi": 2.0}}'
+    bad = '{"problem": {"kind": "lasso"}, "engine": {"beta": 2.0}}'
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
-    assert "beta_hi" in str(err.value) and "2" in str(err.value)
+    assert "beta" in str(err.value) and "(0, 2)" in str(err.value)
 
 
 def test_nu_rejection_names_the_range():
@@ -78,8 +78,7 @@ def test_roundtrip_defaults():
 def test_roundtrip_rich_config():
     doc = """{
       "problem": {"kind": "box_cubic", "dim": 5, "seed": 3},
-      "engine": {"gamma": 2.0, "beta": 0.9, "beta_lo": 0.5, "beta_hi": 1.5,
-                 "nu": 0.7, "delta": 0.25, "rho_init": [0.5, 2.0],
+      "engine": {"gamma": 2.0, "beta": 0.9, "nu": 0.7, "delta": 0.25, "rho_init": [0.5, 2.0],
                  "max_iters": 123, "tol_primal": 1e-8},
       "schedule": {"kind": "seeded-random", "p_select": 0.4, "M": 6, "D": 2,
                    "delay_kind": "seeded-random"},

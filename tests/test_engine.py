@@ -9,7 +9,7 @@ from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, E
                        SchedulePolicy, Space, Vec, affine_monotone, affine_value,
                        backward_update, box_normal_cone, build, cube, evaluate_separator,
                        forward_update_with_backtrack, kkt_residual, l1_subdifferential,
-                       make_skew_composed, project, run, zero_op)
+                       make_skew_composed, project, run, run_with_checks, zero_op)
 from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import update_gap
 from projsplit.engine import BlockState
@@ -35,8 +35,8 @@ NO_ERRORS = ErrorPolicy()
 # -- configuration ------------------------------------------------------------
 
 def test_config_bounds_are_enforced_by_name():
-    with pytest.raises(ConfigError, match="beta_hi"):
-        EngineConfig(beta_hi=2.0).validate()
+    with pytest.raises(ConfigError, match="beta"):
+        EngineConfig(beta=2.0).validate()
     with pytest.raises(ConfigError, match="nu"):
         EngineConfig(nu=0.0).validate()
     with pytest.raises(ConfigError, match="nu"):
@@ -48,7 +48,7 @@ def test_config_bounds_are_enforced_by_name():
     with pytest.raises(ConfigError, match="max_backtracks"):
         EngineConfig(max_backtracks=0).validate()
     with pytest.raises(ConfigError, match="beta"):
-        EngineConfig(beta=2.0, beta_hi=1.5).validate()
+        EngineConfig(beta=0.0).validate()
     EngineConfig().validate(3)
 
 
@@ -272,8 +272,9 @@ def test_projection_noop_when_phi_nonpositive():
 
 
 def test_overrelaxation_beyond_two_rejected_in_config():
-    with pytest.raises(ConfigError, match="beta_hi"):
-        EngineConfig(beta=2.0, beta_lo=1.0, beta_hi=2.0).validate()
+    with pytest.raises(ConfigError, match=r"beta must lie in \(0, 2\)"):
+        EngineConfig(beta=2.0).validate()
+    EngineConfig(beta=1.99).validate()
 
 
 # -- the outer loop -------------------------------------------------------------
@@ -285,21 +286,6 @@ def test_step_exact_termination_from_oracle_start():
     out = eng.step()
     assert out.kind == "exact-termination"
     assert kkt_residual(spec, out.solution.z, out.solution.w) <= 1e-8
-
-
-def test_initial_blocks_allow_exact_termination_under_partial_coverage():
-    # consistent user-supplied block states: the zero-gradient return has to
-    # wait for full coverage, which round-robin reaches at iteration n
-    spec, ref = build("box_cubic", {})
-    warm = dataclasses.replace(spec, z_init=ref.z, w_init=ref.w)
-    wn = Vec(ref.w[0].space, -1.0 * ref.w[0].entries)  # single dual block, identity map
-    blocks = [(ref.z, ref.w[0]), (ref.z, wn)]
-    sched = SchedulePolicy(kind="round-robin", block_size=1, M=2)
-    eng = Engine(warm, EngineConfig(max_iters=10), sched, initial_blocks=blocks)
-    trace = eng.run()
-    assert trace.status == "exact-termination"
-    assert trace.iterations == 2  # coverage completes exactly at M
-    assert kkt_residual(spec, trace.solution.z, trace.solution.w) <= 1e-8
 
 
 def test_step_budget_when_exhausted():
@@ -494,17 +480,6 @@ def test_single_operator_problem_degenerates_cleanly():
     assert kkt_residual(spec, trace.solution.z, ()) <= 1e-8
 
 
-def test_beta_schedule_validated_per_iteration():
-    spec, _ = build("box_cubic", {})
-    cfg = EngineConfig(max_iters=10, beta_lo=0.5, beta_hi=1.5)
-    eng = Engine(spec, cfg, beta_schedule=lambda k: 1.8)
-    with pytest.raises(ConfigError, match="beta"):
-        eng.step()
-    good = Engine(spec, cfg, beta_schedule=lambda k: 0.5 + 0.1 * (k % 5))
-    good.step()
-    assert good.records[-1].beta == pytest.approx(0.6)
-
-
 def test_iteration_builds_at_most_n_vecs(monkeypatch):
     # the iterate is a pair of arrays: a converged run wraps its final point,
     # which is also its solution, as n Vecs (z and the n - 1 dual blocks) once
@@ -567,6 +542,31 @@ def test_async_inexact_iteration_overhead_is_at_most_120_python_calls():
         sys.setprofile(None)
     assert trace.status == "converged"
     assert calls[0] <= 120 * trace.iterations
+
+
+def test_checked_async_iteration_overhead_is_at_most_125_python_calls():
+    # the same run under run_with_checks, set-up and schedule audit
+    # included: the monitor folds each check's worst violation once per
+    # iteration (132 calls per iteration with one accumulator call per
+    # check, block and iteration)
+    spec, ref = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=0)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=20000), schedule,
+                                         errors)
+    finally:
+        sys.setprofile(None)
+    assert trace.status == "converged" and all(r.passed for r in results)
+    assert calls[0] <= 125 * trace.iterations
 
 
 def test_determinism_across_runs():

@@ -123,14 +123,14 @@ INVALID_FIELD = {
     "positive": INVALID["positive"],
     "nonnegative": [-1.0, -INF, INF, NAN, "x", None, True],
     "real": INVALID["real"],
+    "relaxation": [0, -0.5, 2, 2.5, INF, NAN, "x", None, True],  # (0, 2)
     "open_unit": [0, -0.5, 1.5, INF, NAN, "x", None, True],  # (0, 1)
     "half_open_unit": [-0.1, 1.0, INF, NAN, "x", None, True],  # [0, 1)
     "probability": [0, -0.5, 1.5, INF, NAN, "x", None, True],  # (0, 1]
 }
 # (section or None for the top level, field) -> type
 FIELDS = {
-    ("engine", "gamma"): "positive", ("engine", "beta"): "real",
-    ("engine", "beta_lo"): "real", ("engine", "beta_hi"): "real",
+    ("engine", "gamma"): "positive", ("engine", "beta"): "relaxation",
     ("engine", "nu"): "open_unit", ("engine", "delta"): "positive",
     ("engine", "max_backtracks"): "size", ("engine", "rho_init"): "positive",
     ("engine", "tol_primal"): "positive", ("engine", "tol_dual"): "positive",
