@@ -9,12 +9,11 @@ deterministically from seeds.
 """
 
 from .checks import InvariantMonitor, affine_value, audit_schedule, run_with_checks
-from .config import parse_config, serialize_config
+from .config import parse_config
 from .engine import (Engine, EngineConfig, OperatorSlot, backward_update, evaluate_separator,
                      forward_update_with_backtrack, project, run)
 from .errors import BacktrackLimitError, CapabilityError, ConfigError, ShapeError
-from .linalg import (LinearMap, PrimalDualPoint, Space, Vec, derived_wn, gamma_inner,
-                     gamma_norm, point_diff)
+from .linalg import LinearMap, PrimalDualPoint, Vec, derived_wn, gamma_norm, point_diff
 from .operators import (ErrorPolicy, MonotoneOperator, affine_monotone, box_normal_cone, cube,
                         error_inequality_gaps, forward_eval, gradient_quadratic, inject_error,
                         l1_subdifferential, prox_eval, shifted_identity, signed_sqrt,

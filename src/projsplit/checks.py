@@ -144,7 +144,7 @@ def _fold(worst: list, first_failure: list, violations, k: int):
     """
     for j, v in enumerate(violations):
         if v > worst[j]:
-            worst[j] = v
+            worst[j] = float(v)
         if v > 0.0 and first_failure[j] is None:
             first_failure[j] = k
 

@@ -13,7 +13,9 @@ Schema (all sections optional except ``problem``):
       "output":   {"trace": "trace.csv", "summary": "summary.json"}
     }
 
-Omitted fields take the documented defaults. Seeds are integers >= 0.
+Omitted fields take the documented defaults. Seeds are integers >= 0. A
+schedule's ``kind`` is "full" or "seeded-random" and its ``delay_kind``
+"zero" or "seeded-random".
 When ``schedule.seed`` or ``errors.seed`` are omitted they derive from the
 top-level seed (seed and seed+1), so one number reproduces a whole run.
 Unknown keys are rejected by name, and a field of the wrong type or out of
@@ -120,20 +122,3 @@ def parse_config(text: str) -> RunConfig:
                      trace_filename=output.get("trace", "trace.csv"),
                      summary_filename=output.get("summary", "summary.json"))
 
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit a complete JSON document; ``parse_config`` round-trips it."""
-    rho = cfg.engine.rho_init
-    engine = dataclasses.asdict(cfg.engine)
-    engine["rho_init"] = list(rho) if isinstance(rho, tuple) else rho
-    schedule = dataclasses.asdict(cfg.schedule)
-    doc = {
-        "problem": {"kind": cfg.problem_kind, **dict(cfg.problem_params)},
-        "engine": engine,
-        "schedule": schedule,
-        "errors": {"sigma": cfg.errors.sigma, "mode": cfg.errors.mode,
-                   "magnitude": cfg.errors.magnitude, "seed": cfg.errors.seed},
-        "seed": cfg.seed,
-        "output": {"trace": cfg.trace_filename, "summary": cfg.summary_filename},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

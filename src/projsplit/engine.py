@@ -63,8 +63,8 @@ from .errors import (AssumptionViolationError, BacktrackLimitError, ConfigError,
                      ShapeError, checked_integer, checked_real)
 # derived_wn, gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py
 # wraps them here
-from .linalg import (PrimalDualPoint, Space, Vec, all_finite, derived_wn,  # noqa: F401
-                     dual_sum, gamma_norm)
+from .linalg import (PrimalDualPoint, Vec, all_finite, derived_wn, dual_sum,  # noqa: F401
+                     gamma_norm)
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
 
@@ -327,8 +327,7 @@ def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> Sepa
 def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
     """The separator gradient as a point in the product space: (v/gamma, u)."""
     v = sep.v / gamma
-    return PrimalDualPoint(Vec(Space(v.shape[0]), v),
-                           tuple(Vec(Space(ui.shape[0]), ui) for ui in sep.u))
+    return PrimalDualPoint(Vec(v), tuple(Vec(ui) for ui in sep.u))
 
 
 def project(p, sep: SeparatorEval, gamma: float, alpha_hook=None):
@@ -409,7 +408,7 @@ class Engine:
             for i in range(n)
         ]
         self._maps = tuple(problem.maps)
-        self._dim = problem.space0.dim
+        self._dim = problem.dim
         self._point = PrimalDualPoint(problem.z_init, problem.w_init)
         self.iterate = self._point.arrays
         # a full schedule selects every block at every iteration, and with
@@ -425,7 +424,7 @@ class Engine:
         # overdue makes select_blocks replace them all at iteration 1, so
         # the separator only ever sees pairs in the graphs
         z = self.iterate[0]
-        self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.space.dim), s.rho_init)
+        self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.dim), s.rho_init)
                        for s in self.slots]
         self.last_selected = [1 - sched.M] * n
         self.k = 0
@@ -437,9 +436,7 @@ class Engine:
         """The iterate as a :class:`~projsplit.linalg.PrimalDualPoint`, built on first use."""
         if self._point is None:
             z, w = self.iterate
-            self._point = PrimalDualPoint(
-                Vec(self.problem.space0, z),
-                tuple(Vec(wi.space, w[i]) for i, wi in enumerate(self.problem.w_init)))
+            self._point = PrimalDualPoint(Vec(z), tuple(Vec(wi) for wi in w))
         return self._point
 
     def step(self) -> StepOutcome:
@@ -512,9 +509,8 @@ class Engine:
             not (exact or converged)))
 
         if exact:
-            solution = PrimalDualPoint(
-                Vec(self.problem.space0, blocks[-1].x),
-                tuple(Vec(wi.space, blocks[i].y) for i, wi in enumerate(self.problem.w_init)))
+            solution = PrimalDualPoint(Vec(blocks[-1].x),
+                                       tuple(Vec(b.y) for b in blocks[:-1]))
             return StepOutcome("exact-termination", solution)
         if converged:
             return StepOutcome("converged", self.point)

@@ -21,16 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, ShapeError, checked_integer, checked_real
-from .linalg import Space, checked_entries
+from .linalg import checked_dim, checked_entries
 
 
 class MonotoneOperator:
-    """A monotone operator T on a finite-dimensional space.
+    """A monotone operator T on R^dim.
 
     Parameters
     ----------
-    space : Space
-        The space the operator acts on.
+    dim : int
+        The dimension of the space the operator acts on, a positive integer
+        (:class:`~projsplit.errors.ShapeError` otherwise).
     forward : callable(ndarray) -> ndarray, optional
         Single-valued evaluation x -> T(x).
     prox : callable(ndarray, float) -> ndarray, optional
@@ -41,12 +42,12 @@ class MonotoneOperator:
     At least one of ``forward``/``prox`` must be given.
     """
 
-    __slots__ = ("space", "name", "_forward", "_prox")
+    __slots__ = ("dim", "name", "_forward", "_prox")
 
-    def __init__(self, space: Space, *, forward=None, prox=None, name="operator"):
+    def __init__(self, dim: int, *, forward=None, prox=None, name="operator"):
         if forward is None and prox is None:
             raise ConfigError(f"operator '{name}' declares no capability")
-        self.space = space
+        self.dim = checked_dim(dim)
         self.name = name
         self._forward = forward
         self._prox = prox
@@ -62,7 +63,7 @@ class MonotoneOperator:
     def __repr__(self):
         caps = "/".join(c for c, on in (("forward", self.forward_evaluable),
                                         ("prox", self.prox_evaluable)) if on)
-        return f"MonotoneOperator({self.name}, dim={self.space.dim}, {caps})"
+        return f"MonotoneOperator({self.name}, dim={self.dim}, {caps})"
 
 
 class ProxResult(NamedTuple):
@@ -74,8 +75,8 @@ class ProxResult(NamedTuple):
 
 def _argument(op: MonotoneOperator, x: np.ndarray) -> np.ndarray:
     """A read-only view of x for op's callables, after checking its shape."""
-    if x.shape != (op.space.dim,):
-        raise ShapeError(f"operator '{op.name}' acts on dim {op.space.dim}, "
+    if x.shape != (op.dim,):
+        raise ShapeError(f"operator '{op.name}' acts on dim {op.dim}, "
                          f"got shape {x.shape}")
     view = x.view()
     view.setflags(write=False)
@@ -86,7 +87,7 @@ def forward_eval(op: MonotoneOperator, x: np.ndarray) -> np.ndarray:
     """Evaluate T(x) for a forward-capable operator."""
     if op._forward is None:
         raise CapabilityError(f"operator '{op.name}' is not forward-evaluable")
-    return checked_entries(op.space, op._forward(_argument(op, x)))
+    return checked_entries(op.dim, op._forward(_argument(op, x)))
 
 
 def prox_eval(op: MonotoneOperator, rho: float, a: np.ndarray) -> ProxResult:
@@ -98,7 +99,7 @@ def prox_eval(op: MonotoneOperator, rho: float, a: np.ndarray) -> ProxResult:
         raise CapabilityError(f"operator '{op.name}' is not prox-evaluable")
     if rho <= 0:
         raise ConfigError(f"prox stepsize rho must be > 0, got {rho}")
-    x = checked_entries(op.space, op._prox(_argument(op, a), float(rho)))
+    x = checked_entries(op.dim, op._prox(_argument(op, a), float(rho)))
     return ProxResult(x, (a - x) / rho)
 
 
@@ -221,7 +222,7 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
     def fwd(x):
         return m @ x + b
 
-    return MonotoneOperator(Space(m.shape[0]), forward=fwd, prox=_linear_resolvent(m, -b),
+    return MonotoneOperator(m.shape[0], forward=fwd, prox=_linear_resolvent(m, -b),
                             name="affine")
 
 
@@ -256,7 +257,7 @@ def shifted_identity(shift) -> MonotoneOperator:
     def prox(a, rho):
         return (a - rho * b) / (1.0 + rho)
 
-    return MonotoneOperator(Space(b.shape[0]), forward=fwd, prox=prox, name="shifted-identity")
+    return MonotoneOperator(b.shape[0], forward=fwd, prox=prox, name="shifted-identity")
 
 
 def gradient_quadratic(design, target) -> MonotoneOperator:
@@ -275,7 +276,7 @@ def gradient_quadratic(design, target) -> MonotoneOperator:
     def fwd(x):
         return a_mat.T @ (a_mat @ x - b)
 
-    return MonotoneOperator(Space(a_mat.shape[1]), forward=fwd,
+    return MonotoneOperator(a_mat.shape[1], forward=fwd,
                             prox=_linear_resolvent(a_mat.T @ a_mat, a_mat.T @ b),
                             name="grad-quadratic")
 
@@ -289,7 +290,7 @@ def l1_subdifferential(lam: float, dim: int) -> MonotoneOperator:
         t = rho * lam
         return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
 
-    return MonotoneOperator(Space(dim), prox=prox, name="l1")
+    return MonotoneOperator(dim, prox=prox, name="l1")
 
 
 def box_normal_cone(lower, upper) -> MonotoneOperator:
@@ -304,12 +305,12 @@ def box_normal_cone(lower, upper) -> MonotoneOperator:
     def prox(a, rho):
         return np.clip(a, lo, hi)
 
-    return MonotoneOperator(Space(lo.shape[0]), prox=prox, name="box-normal-cone")
+    return MonotoneOperator(lo.shape[0], prox=prox, name="box-normal-cone")
 
 
 def cube(dim: int) -> MonotoneOperator:
     """T(x) = x^3 componentwise: continuous and monotone but not Lipschitz."""
-    return MonotoneOperator(Space(dim), forward=lambda x: x ** 3, name="cube")
+    return MonotoneOperator(dim, forward=lambda x: x ** 3, name="cube")
 
 
 def signed_sqrt(dim: int) -> MonotoneOperator:
@@ -317,10 +318,10 @@ def signed_sqrt(dim: int) -> MonotoneOperator:
     def fwd(x):
         return np.sign(x) * np.sqrt(np.abs(x))
 
-    return MonotoneOperator(Space(dim), forward=fwd, name="signed-sqrt")
+    return MonotoneOperator(dim, forward=fwd, name="signed-sqrt")
 
 
 def zero_op(dim: int) -> MonotoneOperator:
     """T = 0; the resolvent is the identity."""
-    return MonotoneOperator(Space(dim), forward=lambda x: np.zeros_like(x),
+    return MonotoneOperator(dim, forward=lambda x: np.zeros_like(x),
                             prox=lambda a, rho: a, name="zero")

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, ShapeError, checked_integer, checked_real
-from .linalg import LinearMap, PrimalDualPoint, Space, Vec, derived_wn
+from .linalg import LinearMap, PrimalDualPoint, Vec, derived_wn
 from .operators import (MonotoneOperator, affine_monotone, box_normal_cone, forward_eval,
                         l1_subdifferential, prox_eval, shifted_identity, zero_op)
 
@@ -49,11 +49,12 @@ class ProblemSpec:
         return len(self.operators)
 
     @property
-    def space0(self) -> Space:
-        return self.z_init.space
+    def dim(self) -> int:
+        """The dimension of the primal space."""
+        return len(self.z_init.entries)
 
     def identity_map(self) -> LinearMap:
-        return LinearMap.identity(self.space0)
+        return LinearMap.identity(self.dim)
 
     def validate(self):
         n = self.n
@@ -61,17 +62,17 @@ class ProblemSpec:
             raise ConfigError("a problem needs at least one operator")
         if len(self.maps) != n - 1:
             raise ConfigError(f"{n} operators require {n - 1} maps, got {len(self.maps)}")
-        if self.operators[-1].space != self.space0:
+        if self.operators[-1].dim != self.dim:
             raise ConfigError("the last operator must act on the primal space")
         for i, g in enumerate(self.maps):
-            if g.domain != self.space0:
+            if g.domain != self.dim:
                 raise ConfigError(f"map {i} domain does not match the primal space")
-            if g.codomain != self.operators[i].space:
+            if g.codomain != self.operators[i].dim:
                 raise ConfigError(f"map {i} codomain does not match operator {i}")
         if len(self.w_init) != n - 1:
             raise ConfigError(f"initial point needs {n - 1} dual blocks, got {len(self.w_init)}")
         for i, wi in enumerate(self.w_init):
-            if wi.space != self.operators[i].space:
+            if len(wi.entries) != self.operators[i].dim:
                 raise ConfigError(f"initial dual block {i} lives in the wrong space")
         if not self.forward_blocks <= set(range(n)):
             raise ConfigError(f"forward block indices must lie in 0..{n - 1}")
@@ -350,13 +351,13 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
         maps=(LinearMap(a_mat),),
         operators=(t_res, t_reg),
         forward_blocks=frozenset({0}),
-        z_init=Space(d).zeros(),
-        w_init=(Space(m).zeros(),),
+        z_init=Vec(np.zeros(d)),
+        w_init=(Vec(np.zeros(m)),),
         params={"m": m, "d": d, "lam": lam},
     )
     z_star = _lasso_oracle(a_mat, b, lam)
     w1 = a_mat @ z_star - b
-    ref = ReferenceSolution(z=Vec(Space(d), z_star), w=(Vec(Space(m), w1),),
+    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),),
                             provenance="proximal gradient + support polish once the signs settle",
                             accuracy=1e-8)
     return spec, _certify(spec, ref)
@@ -375,20 +376,19 @@ def make_box_cubic(c, lower, upper) -> tuple[ProblemSpec, ReferenceSolution]:
     dim = c.shape[0]
     if lo.shape[0] != dim or hi.shape[0] != dim:
         raise ShapeError("bounds must match the dimension of c")
-    space = Space(dim)
-    t_drift = MonotoneOperator(space, forward=lambda x: x ** 3 - c, name="cubic-drift")
+    t_drift = MonotoneOperator(dim, forward=lambda x: x ** 3 - c, name="cubic-drift")
     spec = ProblemSpec(
         name="box_cubic",
-        maps=(LinearMap.identity(space),),
+        maps=(LinearMap.identity(dim),),
         operators=(t_drift, box_normal_cone(lo, hi)),
         forward_blocks=frozenset({0}),
-        z_init=space.zeros(),
-        w_init=(space.zeros(),),
+        z_init=Vec(np.zeros(dim)),
+        w_init=(Vec(np.zeros(dim)),),
         params={"dim": dim},
     )
     z_star = np.clip(np.cbrt(c), lo, hi)
     w1 = z_star ** 3 - c
-    ref = ReferenceSolution(z=Vec(space, z_star), w=(Vec(space, w1),),
+    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),),
                             provenance="componentwise clamped cube root", accuracy=1e-10)
     return spec, _certify(spec, ref)
 
@@ -404,19 +404,18 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     dim = c.shape[0]
-    space = Space(dim)
 
     def drift(x):
         return np.sign(x) * np.sqrt(np.abs(x)) + x - c
 
-    t_drift = MonotoneOperator(space, forward=drift, name="signed-sqrt-drift")
+    t_drift = MonotoneOperator(dim, forward=drift, name="signed-sqrt-drift")
     spec = ProblemSpec(
         name="signed_sqrt",
-        maps=(LinearMap.identity(space),),
+        maps=(LinearMap.identity(dim),),
         operators=(t_drift, zero_op(dim)),
         forward_blocks=frozenset({0}),
-        z_init=Vec(space, np.ones(dim)),
-        w_init=(space.zeros(),),
+        z_init=Vec(np.ones(dim)),
+        w_init=(Vec(np.zeros(dim)),),
         params={"dim": dim},
     )
     roots = np.array([
@@ -425,7 +424,7 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
         for cj in c
     ])
     w1 = drift(roots)
-    ref = ReferenceSolution(z=Vec(space, roots), w=(Vec(space, w1),),
+    ref = ReferenceSolution(z=Vec(roots), w=(Vec(w1),),
                             provenance="componentwise bisection", accuracy=1e-10)
     return spec, _certify(spec, ref)
 
@@ -471,11 +470,11 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
             operators=(affine_monotone(skew, c1), l1_subdifferential(lam, d2),
                        affine_monotone(pd_mat, q)),
             forward_blocks=frozenset({0}),
-            z_init=Space(d0).zeros(),
-            w_init=(Space(d1).zeros(), Space(d2).zeros()),
+            z_init=Vec(np.zeros(d0)),
+            w_init=(Vec(np.zeros(d1)), Vec(np.zeros(d2))),
             params={"seed": use_seed, "dims": tuple(dims), "lam": lam},
         )
-        ref = ReferenceSolution(z=Vec(Space(d0), z), w=(Vec(Space(d1), w1), Vec(Space(d2), w2)),
+        ref = ReferenceSolution(z=Vec(z), w=(Vec(w1), Vec(w2)),
                                 provenance="smoothed Newton + active-set polish",
                                 accuracy=1e-8)
         return spec, _certify(spec, ref)

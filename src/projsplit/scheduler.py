@@ -10,6 +10,11 @@ than assumed of the policy:
 * staleness -- a block processed at iteration k reads iterate d(i,k) with
   1 <= d(i,k) <= k and k - d(i,k) <= D.
 
+Selection is ``full`` (every block) or ``seeded-random`` (each block kept
+with probability p_select, overdue ones forced in); delays are ``zero`` or
+``seeded-random`` (uniform over the admissible window). These cover the
+synchronous method and every regime of the two guarantees.
+
 Selection and delays are pure functions of (policy, k, block), so replays
 are identical regardless of evaluation order. They are seeded per chunk of
 C = 256 iterations: iteration k reads row (k-1) mod C of a table of
@@ -27,7 +32,7 @@ the engine then skips :func:`select_blocks` under the first, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,47 +48,39 @@ _CHUNK = 256
 class SchedulePolicy:
     """Block selection and delay configuration.
 
-    kind: "full" (all blocks every iteration), "round-robin" (block_size
-    consecutive blocks, rotating), or "seeded-random" (each block kept with
-    probability p_select). M is the coverage window; D the maximum staleness.
-    delay_kind: "zero", "fixed" (always ``delay`` iterations back, capped at
-    the start), or "seeded-random" (uniform over the admissible window).
-    M=None resolves to the block count when the policy is attached to a run.
+    kind: "full" (all blocks every iteration) or "seeded-random" (each
+    block kept with probability p_select). M is the coverage window; D the
+    maximum staleness. delay_kind: "zero" or "seeded-random" (uniform over
+    the admissible window). M=None resolves to the block count when the
+    policy is attached to a run.
     seed (an integer >= 0) drives both seeded kinds; their draws come from
     one generator per chunk of 256 iterations (see the module docstring).
     """
 
     kind: str = "full"
-    block_size: int = 1
     p_select: float = 0.5
     M: int | None = None
     D: int = 0
     delay_kind: str = "zero"
-    delay: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("full", "round-robin", "seeded-random"):
-            raise ConfigError(f"schedule kind must be full/round-robin/seeded-random, got {self.kind!r}")
-        if self.delay_kind not in ("zero", "fixed", "seeded-random"):
-            raise ConfigError(f"delay_kind must be zero/fixed/seeded-random, got {self.delay_kind!r}")
+        if self.kind not in ("full", "seeded-random"):
+            raise ConfigError(f"schedule kind must be full/seeded-random, got {self.kind!r}")
+        if self.delay_kind not in ("zero", "seeded-random"):
+            raise ConfigError(f"delay_kind must be zero/seeded-random, got {self.delay_kind!r}")
         if self.M is not None:
             checked_integer("M", self.M)
         checked_integer("D", self.D, lo=0)
-        checked_integer("block_size", self.block_size)
-        checked_integer("delay", self.delay, lo=0)
         checked_integer("schedule seed", self.seed, lo=0)
         if not 0.0 < checked_real("p_select", self.p_select) <= 1.0:
             raise ConfigError(f"p_select must lie in (0, 1], got {self.p_select}")
-        if self.delay_kind == "fixed" and not self.delay <= self.D:
-            raise ConfigError(f"fixed delay must lie in [0, D={self.D}], got {self.delay}")
 
     def resolved(self, n: int) -> "SchedulePolicy":
         """Fill in M (default: n) against a concrete block count."""
         if self.M is not None:
             return self
-        return SchedulePolicy(self.kind, self.block_size, self.p_select, n, self.D,
-                              self.delay_kind, self.delay, self.seed)
+        return replace(self, M=n)
 
 
 def select_blocks(policy: SchedulePolicy, n: int, k: int, last_selected) -> tuple[int, ...]:
@@ -98,9 +95,6 @@ def select_blocks(policy: SchedulePolicy, n: int, k: int, last_selected) -> tupl
     m_window = policy.M if policy.M is not None else n
     if policy.kind == "full":
         chosen = set(range(n))
-    elif policy.kind == "round-robin":
-        start = ((k - 1) * policy.block_size) % n
-        chosen = {(start + j) % n for j in range(min(policy.block_size, n))}
     else:
         chunk, row = divmod(k - 1, _CHUNK)
         draws = _selection_table(policy.seed, chunk, n)[row].tolist()
@@ -123,8 +117,6 @@ def delayed_index(policy: SchedulePolicy, i: int, k: int) -> int:
     """
     if policy.delay_kind == "zero":
         return k
-    if policy.delay_kind == "fixed":
-        return max(1, k - policy.delay)
     lo = max(1, k - policy.D)
     chunk, row = divmod(k - 1, _CHUNK)
     return min(k, lo + int(_delay_draws(policy.seed, chunk, i)[row] * (k + 1 - lo)))

@@ -146,11 +146,11 @@ def test_criterion_3_merely_continuous_regime(signed_sqrt_run):
 
 
 def test_criterion_4_backtracking_hand_traces():
-    ident = ps.MonotoneOperator(ps.Space(1), forward=lambda x: x, name="identity")
-    cube_ = ps.MonotoneOperator(ps.Space(1), forward=lambda x: x ** 3, name="cube")
+    ident = ps.MonotoneOperator(1, forward=lambda x: x, name="identity")
+    cube_ = ps.MonotoneOperator(1, forward=lambda x: x ** 3, name="cube")
 
     def slot(op):
-        return ps.OperatorSlot(index=0, op=op, map=ps.LinearMap.identity(op.space),
+        return ps.OperatorSlot(index=0, op=op, map=ps.LinearMap.identity(op.dim),
                                kind="forward", rho_init=1.0)
 
     def vec(v):

@@ -6,7 +6,7 @@ import pytest
 
 import projsplit.engine
 from projsplit import (ConfigError, Engine, EngineConfig, ErrorPolicy, InvariantMonitor,
-                       LinearMap, MonotoneOperator, ProblemSpec, SchedulePolicy, Space, Vec,
+                       LinearMap, MonotoneOperator, ProblemSpec, SchedulePolicy, Vec,
                        audit_schedule, build, make_skew_composed, parse_config, prox_eval,
                        run_with_checks, zero_op)
 from projsplit.engine import IterationRecord
@@ -172,11 +172,10 @@ def test_start_above_the_bound_breaks_stepsize_bound(monkeypatch):
         return original(slot, z, w, 4.0 * rho_start, cfg)
 
     monkeypatch.setattr(projsplit.engine, "forward_update_with_backtrack", started_high)
-    space = Space(1)
-    ident = MonotoneOperator(space, forward=lambda x: x, name="identity")
-    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(space),),
+    ident = MonotoneOperator(1, forward=lambda x: x, name="identity")
+    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(1),),
                        operators=(ident, zero_op(1)), forward_blocks=frozenset({0}),
-                       z_init=Vec(space, [1.0]), w_init=(space.zeros(),))
+                       z_init=Vec([1.0]), w_init=(Vec([0.0]),))
     eng = Engine(spec, EngineConfig(delta=0.5, rho_init=(0.25, 1.0), max_iters=5))
     mon = InvariantMonitor(spec, 1.0)
     eng.run(callback=mon)
@@ -268,6 +267,13 @@ def _tight_audit_rows(seed):
     # a window and a staleness bound the schedule does not keep: nonzero worst values
     spec, (trace, _) = _async_run(seed)
     return _rows(audit_schedule(trace.records, spec.n, 2, 1))
+
+
+def test_tight_audit_worst_values_are_floats():
+    spec, (trace, _) = _async_run(0)
+    results = audit_schedule(trace.records, spec.n, 2, 1)
+    assert not any(r.passed for r in results)
+    assert all(type(r.worst) is float for r in results), [r.worst for r in results]
 
 
 def _overshoot_rows(factor):

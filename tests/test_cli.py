@@ -193,7 +193,7 @@ BOX_ASYNC = {"problem": {"kind": "box_cubic"}, "engine": {"max_iters": 50},
 BAD_FIELDS = [
     ("schedule", "seed", -1), (None, "seed", -1), ("errors", "seed", -3),
     ("errors", "magnitude", float("inf")), ("errors", "magnitude", float("nan")),
-    ("schedule", "block_size", 1.5), ("schedule", "M", True),
+    ("schedule", "M", True),
     ("engine", "gamma", float("inf")), ("engine", "pi_zero_eps", float("nan")),
     ("engine", "max_iters", True), ("engine", "max_backtracks", True),
     ("engine", "delta", float("inf")),
@@ -212,6 +212,20 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, capsys, section, name, val
         assert cli.main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("field, value, allowed", [("kind", "round-robin", "full/seeded-random"),
+                                                   ("delay_kind", "fixed", "zero/seeded-random")])
+def test_unknown_schedule_kind_exits_1_naming_the_allowed_ones(tmp_path, capsys, field, value,
+                                                                allowed):
+    doc = json.loads(json.dumps(BOX_ASYNC))
+    doc["schedule"][field] = value
+    cfg = write_config(tmp_path, doc)
+    for command in (["run", "--config", cfg, "--out", str(tmp_path / "o")],
+                    ["verify", "--config", cfg]):
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and allowed in err
 
 
 def test_negative_seed_override_exits_1(tmp_path, capsys):

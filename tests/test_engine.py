@@ -6,7 +6,7 @@ import pytest
 
 from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, ErrorPolicy,
                        LinearMap, MonotoneOperator, OperatorSlot, ProblemSpec,
-                       SchedulePolicy, Space, Vec, affine_monotone, affine_value,
+                       SchedulePolicy, Vec, affine_monotone, affine_value,
                        backward_update, box_normal_cone, build, cube, evaluate_separator,
                        forward_update_with_backtrack, kkt_residual, l1_subdifferential,
                        make_skew_composed, project, run, run_with_checks, zero_op)
@@ -16,7 +16,7 @@ from projsplit.engine import BlockState
 
 
 def vec(*entries):
-    return Vec(Space(len(entries)), np.array(entries, dtype=float))
+    return Vec(np.array(entries, dtype=float))
 
 
 def arr(*entries):
@@ -25,7 +25,7 @@ def arr(*entries):
 
 def slot(op, kind, index=0, g=None, rho=1.0):
     return OperatorSlot(index=index, op=op,
-                        map=g if g is not None else LinearMap.identity(op.space),
+                        map=g if g is not None else LinearMap.identity(op.dim),
                         kind=kind, rho_init=rho)
 
 
@@ -109,7 +109,7 @@ def test_backward_identity_gap_is_tiny():
 # -- forward updates with backtracking ----------------------------------------
 
 def _identity_op(dim=1):
-    return MonotoneOperator(Space(dim), forward=lambda x: x, name="identity")
+    return MonotoneOperator(dim, forward=lambda x: x, name="identity")
 
 
 def test_forward_quickstop():
@@ -133,7 +133,7 @@ def test_forward_identity_two_trials():
 
 def test_forward_cube_three_trials():
     cfg = EngineConfig(delta=1.0, nu=0.5)
-    op = MonotoneOperator(Space(1), forward=lambda x: x ** 3, name="cube")
+    op = MonotoneOperator(1, forward=lambda x: x ** 3, name="cube")
     state = forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0, cfg)
     assert state.backtracks == 3
     assert abs(state.rho - 0.25) <= 1e-12
@@ -143,7 +143,7 @@ def test_forward_cube_three_trials():
 
 def test_forward_accepted_step_satisfies_slope_test_and_geometry():
     cfg = EngineConfig(delta=2.0, nu=0.7)
-    op = MonotoneOperator(Space(2), forward=lambda x: np.sign(x) * np.abs(x) ** 1.5,
+    op = MonotoneOperator(2, forward=lambda x: np.sign(x) * np.abs(x) ** 1.5,
                           name="power")
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -165,7 +165,7 @@ def test_forward_non_finite_trial_counts_as_failed():
         with np.errstate(invalid="ignore"):
             return np.where(x < -2.0, np.nan, np.where(x > 2.0, np.inf, x))
 
-    op = MonotoneOperator(Space(1), forward=patchy, name="patchy")
+    op = MonotoneOperator(1, forward=patchy, name="patchy")
     cfg = EngineConfig(delta=0.5, nu=0.5)
     # from z = +-1, rho = 4 gives x~ = -+3 (NaN, Inf); 2 and 1 fail the slope
     # test, 0.5 passes
@@ -177,7 +177,7 @@ def test_forward_non_finite_trial_counts_as_failed():
 
 
 def test_forward_non_finite_value_at_theta_raises():
-    op = MonotoneOperator(Space(1), forward=lambda x: np.full_like(x, np.inf), name="inf")
+    op = MonotoneOperator(1, forward=lambda x: np.full_like(x, np.inf), name="inf")
     with pytest.raises(NonFiniteError):
         forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0,
                                       EngineConfig())
@@ -189,7 +189,7 @@ def test_forward_discontinuous_operator_exhausts_budget():
     def step_fn(x):
         return np.where(x >= 1.0, 1.0, -1.0)
 
-    op = MonotoneOperator(Space(1), forward=step_fn, name="step")
+    op = MonotoneOperator(1, forward=step_fn, name="step")
     cfg = EngineConfig(max_backtracks=50)
     with pytest.raises(BacktrackLimitError, match="50"):
         forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0, cfg)
@@ -202,7 +202,7 @@ def _two_scalar_blocks(x1, y1, x2, y2):
             BlockState(x=arr(x2), y=arr(y2), rho=1.0)]
 
 
-IDENT = (LinearMap.identity(Space(1)),)
+IDENT = (LinearMap.identity(1),)
 
 
 def test_separator_consensus_gives_zero_gradient():
@@ -311,8 +311,8 @@ def test_run_backtrack_limit_becomes_assumption_violation():
     def step_fn(x):
         return np.where(x >= 1.0, 1.0, -1.0)
 
-    op = MonotoneOperator(Space(1), forward=step_fn, name="step")
-    spec = ProblemSpec(name="broken", maps=(LinearMap.identity(Space(1)),),
+    op = MonotoneOperator(1, forward=step_fn, name="step")
+    spec = ProblemSpec(name="broken", maps=(LinearMap.identity(1),),
                        operators=(op, zero_op(1)), forward_blocks=frozenset({0}),
                        z_init=vec(1.0), w_init=(vec(0.0),))
     # a tight trial budget: the discontinuity defeats the slope test until
@@ -325,20 +325,18 @@ def test_run_backtrack_limit_becomes_assumption_violation():
 def overflow_problem():
     """G z overflows; the box resolvent clips it to a finite x, but the
     derived y = (a - x)/rho is inf and must not reach the projection."""
-    space = Space(2)
-    return ProblemSpec(name="overflow", maps=(LinearMap.diagonal([1e300, 1e300]),),
+    return ProblemSpec(name="overflow", maps=(LinearMap(np.diag([1e300, 1e300])),),
                        operators=(box_normal_cone([-1.0, -1.0], [1.0, 1.0]), zero_op(2)),
-                       forward_blocks=frozenset(), z_init=Vec(space, [1e10, 1e10]),
-                       w_init=(space.zeros(),))
+                       forward_blocks=frozenset(), z_init=vec(1e10, 1e10),
+                       w_init=(vec(0.0, 0.0),))
 
 
 def cube_overflow_problem():
     """cube(2) from z = (1e40, 1e40): T(z) = 1e120 is finite, but the first
     ~60 trial outputs overflow, and the search needs 267 trials in all."""
-    space = Space(2)
-    return ProblemSpec(name="cube-overflow", maps=(LinearMap.identity(space),),
+    return ProblemSpec(name="cube-overflow", maps=(LinearMap.identity(2),),
                        operators=(cube(2), zero_op(2)), forward_blocks=frozenset({0}),
-                       z_init=Vec(space, [1e40, 1e40]), w_init=(space.zeros(),))
+                       z_init=vec(1e40, 1e40), w_init=(vec(0.0, 0.0),))
 
 
 def test_non_finite_block_value_raises():
@@ -360,10 +358,9 @@ def test_overflowing_linesearch_ends_in_a_status():
 
 
 def test_non_finite_value_at_theta_ends_in_a_status():
-    space = Space(1)
-    blowup = MonotoneOperator(space, forward=lambda x: np.where(x > 0.5, np.inf, x),
+    blowup = MonotoneOperator(1, forward=lambda x: np.where(x > 0.5, np.inf, x),
                               name="blowup")
-    spec = ProblemSpec(name="blowup", maps=(LinearMap.identity(space),),
+    spec = ProblemSpec(name="blowup", maps=(LinearMap.identity(1),),
                        operators=(blowup, zero_op(1)), forward_blocks=frozenset({0}),
                        z_init=vec(1.0), w_init=(vec(0.0),))
     trace = run(spec, EngineConfig(max_iters=5))
@@ -378,20 +375,20 @@ def _doubling(x, *_):
 
 def doubled_forward_problem():
     """A forward block whose operator returns twice its input's length."""
-    space = Space(2)
-    op = MonotoneOperator(space, forward=_doubling, name="doubling")
-    return ProblemSpec(name="doubled-forward", maps=(LinearMap.identity(space),),
+    dim = 2
+    op = MonotoneOperator(dim, forward=_doubling, name="doubling")
+    return ProblemSpec(name="doubled-forward", maps=(LinearMap.identity(dim),),
                        operators=(op, zero_op(2)), forward_blocks=frozenset({0}),
-                       z_init=space.zeros(), w_init=(space.zeros(),))
+                       z_init=Vec(np.zeros(dim)), w_init=(Vec(np.zeros(dim)),))
 
 
 def doubled_prox_problem():
     """A backward block whose resolvent returns twice its input's length."""
-    space = Space(2)
-    op = MonotoneOperator(space, prox=_doubling, name="doubling")
-    return ProblemSpec(name="doubled-prox", maps=(LinearMap.identity(space),),
+    dim = 2
+    op = MonotoneOperator(dim, prox=_doubling, name="doubling")
+    return ProblemSpec(name="doubled-prox", maps=(LinearMap.identity(dim),),
                        operators=(op, zero_op(2)), forward_blocks=frozenset(),
-                       z_init=space.zeros(), w_init=(space.zeros(),))
+                       z_init=Vec(np.zeros(dim)), w_init=(Vec(np.zeros(dim)),))
 
 
 @pytest.mark.parametrize("make_spec", [doubled_forward_problem, doubled_prox_problem],
@@ -423,8 +420,7 @@ def test_linesearch_starts_one_shrink_above_the_last_accepted_stepsize():
     # 0.5; the projection moves to z = 0.75, w = 0.25. Iteration 2 starts at
     # min(4, 0.5/nu) = 1 (a restart at rho_init would try 4 and 2 again),
     # fails at 1 and accepts 0.5.
-    space = Space(1)
-    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(space),),
+    spec = ProblemSpec(name="identity-drift", maps=(LinearMap.identity(1),),
                        operators=(_identity_op(), zero_op(1)), forward_blocks=frozenset({0}),
                        z_init=vec(1.0), w_init=(vec(0.0),))
     eng = Engine(spec, EngineConfig(delta=0.5, nu=0.5, rho_init=(4.0, 1.0), max_iters=2))
@@ -453,12 +449,14 @@ def test_large_forward_rho_init_costs_few_evaluations():
 
 def test_carry_over_is_bitwise():
     spec, _ = build("box_cubic", {})
-    sched = SchedulePolicy(kind="round-robin", block_size=1, M=2)
+    # seed 0 leaves block 1 unselected at step 2
+    sched = SchedulePolicy(kind="seeded-random", M=2, seed=0)
     eng = Engine(spec, EngineConfig(max_iters=10), sched)
     eng.step()
     first = list(eng.blocks)
     eng.step()
     selected_second = eng.records[-1].selected
+    assert len(selected_second) < spec.n
     for i in range(spec.n):
         if i not in selected_second:
             assert eng.blocks[i] is first[i]
@@ -472,7 +470,7 @@ def test_single_operator_problem_degenerates_cleanly():
     shift = rng.standard_normal(3)
     op = affine_monotone(mat, shift)
     spec = ProblemSpec(name="single", maps=(), operators=(op,),
-                       forward_blocks=frozenset({0}), z_init=Space(3).zeros(), w_init=())
+                       forward_blocks=frozenset({0}), z_init=Vec(np.zeros(3)), w_init=())
     trace = run(spec, EngineConfig(max_iters=4000, tol_primal=1e-9, tol_dual=1e-9))
     assert trace.status == "converged"
     expected = np.linalg.solve(mat, -shift)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from projsplit import (CapabilityError, ConfigError, ErrorPolicy, MonotoneOperator, ShapeError,
-                       Space, affine_monotone, box_normal_cone, cube, error_inequality_gaps,
+                       affine_monotone, box_normal_cone, cube, error_inequality_gaps,
                        forward_eval, gradient_quadratic, inject_error, l1_subdifferential,
                        prox_eval, shifted_identity, signed_sqrt, zero_op)
 from projsplit.errors import NonFiniteError
@@ -49,7 +49,7 @@ BAD_OUTPUTS = {"nan": lambda x: np.full_like(x, np.nan),
 
 @pytest.mark.parametrize("bad", sorted(BAD_OUTPUTS))
 def test_forward_output_is_checked(bad):
-    op = MonotoneOperator(Space(2), forward=BAD_OUTPUTS[bad], name=bad)
+    op = MonotoneOperator(2, forward=BAD_OUTPUTS[bad], name=bad)
     with pytest.raises(ShapeError):
         forward_eval(op, vec(1.0, 2.0))
 
@@ -57,7 +57,7 @@ def test_forward_output_is_checked(bad):
 @pytest.mark.parametrize("bad", sorted(BAD_OUTPUTS))
 def test_prox_output_is_checked(bad):
     fn = BAD_OUTPUTS[bad]
-    op = MonotoneOperator(Space(2), prox=lambda a, rho: fn(a), name=bad)
+    op = MonotoneOperator(2, prox=lambda a, rho: fn(a), name=bad)
     with pytest.raises(ShapeError):
         prox_eval(op, 1.0, vec(1.0, 2.0))
 
@@ -65,10 +65,10 @@ def test_prox_output_is_checked(bad):
 def test_non_finite_output_is_a_non_finite_error():
     # the linesearch treats NaN/Inf as a failed trial but a wrong shape as a bug
     for bad in ("nan", "inf"):
-        op = MonotoneOperator(Space(2), forward=BAD_OUTPUTS[bad], name=bad)
+        op = MonotoneOperator(2, forward=BAD_OUTPUTS[bad], name=bad)
         with pytest.raises(NonFiniteError):
             forward_eval(op, vec(1.0, 2.0))
-    op = MonotoneOperator(Space(2), forward=BAD_OUTPUTS["shape"], name="shape")
+    op = MonotoneOperator(2, forward=BAD_OUTPUTS["shape"], name="shape")
     with pytest.raises(ShapeError) as info:
         forward_eval(op, vec(1.0, 2.0))
     assert not isinstance(info.value, NonFiniteError)
@@ -81,9 +81,9 @@ def test_callables_cannot_write_into_their_argument():
 
     x = vec(1.0, 2.0)
     with pytest.raises(ValueError):
-        forward_eval(MonotoneOperator(Space(2), forward=scale_in_place), x)
+        forward_eval(MonotoneOperator(2, forward=scale_in_place), x)
     with pytest.raises(ValueError):
-        prox_eval(MonotoneOperator(Space(2), prox=lambda a, rho: scale_in_place(a)), 1.0, x)
+        prox_eval(MonotoneOperator(2, prox=lambda a, rho: scale_in_place(a)), 1.0, x)
     assert x == pytest.approx([1.0, 2.0])
 
 

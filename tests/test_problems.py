@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projsplit import problems
-from projsplit import (ConfigError, EngineConfig, LinearMap, ProblemSpec, Space, Vec, build,
+from projsplit import (ConfigError, EngineConfig, LinearMap, ProblemSpec, Vec, build,
                        kkt_residual, make_box_cubic, make_lasso, make_signed_sqrt,
                        make_skew_composed, run, zero_op)
 
@@ -150,11 +150,11 @@ def test_signed_sqrt_roots():
 
 
 def test_kkt_residual_zero_everywhere():
-    spec = ProblemSpec(name="null", maps=(LinearMap.identity(Space(2)),),
+    spec = ProblemSpec(name="null", maps=(LinearMap.identity(2),),
                        operators=(zero_op(2), zero_op(2)), forward_blocks=frozenset({0}),
-                       z_init=Space(2).zeros(), w_init=(Space(2).zeros(),))
-    z = Vec(Space(2), [4.0, -1.0])
-    assert kkt_residual(spec, z, (Space(2).zeros(),)) == 0.0
+                       z_init=Vec(np.zeros(2)), w_init=(Vec(np.zeros(2)),))
+    z = Vec([4.0, -1.0])
+    assert kkt_residual(spec, z, (Vec(np.zeros(2)),)) == 0.0
 
 
 def test_skew_default_instance_certificate():
@@ -238,7 +238,7 @@ def test_registry_unknown_kind_and_params():
 
 
 # (kind, params, the parameter the error must name); unvalidated, the first
-# four would reach numpy or Space and raise ValueError or ShapeError
+# four would reach numpy or a dimension check and raise ValueError or ShapeError
 BAD_PARAMS = [
     ("lasso", {"d": 0}, "d"),
     ("box_cubic", {"dim": 0}, "dim"),
@@ -270,7 +270,7 @@ def test_bad_problem_parameters_raise_config_error_naming_them(kind, params, nam
 
 def test_signed_sqrt_dimension_follows_a_list_of_c():
     spec, ref = build("signed_sqrt", {"c": [1.0, -2.0, 0.5]})
-    assert spec.space0.dim == 3
+    assert spec.dim == 3
     assert kkt_residual(spec, ref.z, ref.w) <= ref.accuracy
 
 
@@ -282,8 +282,29 @@ def test_partition_override_requires_capability():
     spec.validate()
 
 
+def _three_block_spec(last=3, domain=3, codomain=2, w1=2):
+    """A 3-block problem on R^3 with duals in R^4 x R^2; one argument breaks a dimension."""
+    return ProblemSpec(name="dims", maps=(LinearMap(np.zeros((4, 3))),
+                                          LinearMap(np.zeros((codomain, domain)))),
+                       operators=(zero_op(4), zero_op(2), zero_op(last)),
+                       forward_blocks=frozenset(), z_init=Vec(np.zeros(3)),
+                       w_init=(Vec(np.zeros(4)), Vec(np.zeros(w1))))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"last": 4}, "last operator"),
+    ({"domain": 4}, "map 1 domain"),
+    ({"codomain": 3}, "map 1 codomain"),
+    ({"w1": 3}, "initial dual block 1"),
+])
+def test_problem_validation_checks_every_dimension(bad, message):
+    _three_block_spec().validate()
+    with pytest.raises(ConfigError, match=message):
+        _three_block_spec(**bad).validate()
+
+
 def test_problem_validation_errors():
     spec = ProblemSpec(name="bad", maps=(), operators=(zero_op(2), zero_op(2)),
-                       forward_blocks=frozenset(), z_init=Space(2).zeros(), w_init=())
+                       forward_blocks=frozenset(), z_init=Vec(np.zeros(2)), w_init=())
     with pytest.raises(ConfigError, match="maps"):
         spec.validate()

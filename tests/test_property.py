@@ -136,8 +136,8 @@ FIELDS = {
     ("engine", "tol_primal"): "positive", ("engine", "tol_dual"): "positive",
     ("engine", "max_iters"): "count", ("engine", "quickstop_eps"): "nonnegative",
     ("engine", "pi_zero_eps"): "nonnegative",
-    ("schedule", "block_size"): "size", ("schedule", "p_select"): "probability",
-    ("schedule", "M"): "window", ("schedule", "D"): "count", ("schedule", "delay"): "count",
+    ("schedule", "p_select"): "probability", ("schedule", "M"): "window",
+    ("schedule", "D"): "count",
     ("schedule", "seed"): "seed",
     ("errors", "sigma"): "half_open_unit", ("errors", "magnitude"): "nonnegative",
     ("errors", "seed"): "seed",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from projsplit import (ConfigError, EngineConfig, HistoryBuffer, PrimalDualPoint,
-                       SchedulePolicy, Space, Vec, audit_schedule, build, delayed_index, run,
+                       SchedulePolicy, Vec, audit_schedule, build, delayed_index, run,
                        scheduler, select_blocks)
 from projsplit.errors import HistoryError
 
@@ -17,18 +17,6 @@ def test_full_policy_selects_everything():
     policy = SchedulePolicy(kind="full")
     for k in (1, 2, 10):
         assert select_blocks(policy, 4, k, [0, 0, 0, 0]) == (0, 1, 2, 3)
-
-
-def test_round_robin_rotation():
-    policy = SchedulePolicy(kind="round-robin", block_size=1, M=3)
-    last = [0, 0, 0]
-    picks = []
-    for k in (1, 2, 3):
-        sel = select_blocks(policy, 3, k, last)
-        picks.append(sel)
-        for i in sel:
-            last[i] = k
-    assert picks == [(0,), (1,), (2,)]
 
 
 def test_overdue_blocks_are_forced():
@@ -70,11 +58,10 @@ def test_selection_is_deterministic_and_nonempty():
     assert all(len(sel) >= 1 for sel in a)
 
 
-def test_delayed_index_zero_and_fixed():
+def test_delayed_index_zero():
     assert delayed_index(SchedulePolicy(delay_kind="zero"), 0, 7) == 7
-    policy = SchedulePolicy(D=5, delay_kind="fixed", delay=2)
-    assert delayed_index(policy, 0, 10) == 8
-    assert delayed_index(policy, 0, 2) == 1  # capped at the first iterate
+    # the engine skips delayed_index when D=0: every read is then current
+    assert delayed_index(SchedulePolicy(delay_kind="seeded-random", D=0), 0, 7) == 7
 
 
 def test_delayed_index_seeded_random_bounds_and_replay():
@@ -199,7 +186,7 @@ def test_table_caches_stay_bounded_over_many_seeds():
 
 
 def _point(val):
-    return PrimalDualPoint(Vec(Space(1), [val]))
+    return PrimalDualPoint(Vec([val]))
 
 
 def test_history_zero_depth_keeps_only_current():
@@ -236,10 +223,6 @@ def test_policy_validation():
         SchedulePolicy(D=-1)
     with pytest.raises(ConfigError):
         SchedulePolicy(p_select=0.0)
-    with pytest.raises(ConfigError):
-        SchedulePolicy(delay_kind="fixed", delay=2, D=1)
-    with pytest.raises(ConfigError, match="block_size"):
-        SchedulePolicy(kind="round-robin", block_size=1.5)
     with pytest.raises(ConfigError, match="M"):
         SchedulePolicy(M=True)
     with pytest.raises(ConfigError, match="seed"):
