@@ -253,14 +253,13 @@ def audit_schedule(records, n: int, m_window: int, max_delay: int) -> list[Check
                         f"max allowed staleness D={max_delay}")]
 
 
-def run_with_checks(problem, reference, config, schedule=None, error_policy=None,
-                    **engine_kwargs):
+def run_with_checks(problem, reference, config, schedule=None, error_policy=None):
     """Run the engine under the invariant monitor and schedule audit.
 
     Returns ``(trace, results)`` where ``results`` combines the per-iteration
     checks with the post-hoc schedule audit.
     """
-    engine = Engine(problem, config, schedule, error_policy, **engine_kwargs)
+    engine = Engine(problem, config, schedule, error_policy)
     monitor = InvariantMonitor(problem, engine.config.gamma, reference)
     trace = engine.run(callback=monitor)
     results = monitor.results()

@@ -19,8 +19,9 @@ schedule's ``kind`` is "full" or "seeded-random" and its ``delay_kind``
 When ``schedule.seed`` or ``errors.seed`` are omitted they derive from the
 top-level seed (seed and seed+1), so one number reproduces a whole run.
 Unknown keys are rejected by name, and a field of the wrong type or out of
-range is a ``ConfigError`` that names it. All run state lives in the file;
-there are no environment overrides.
+range is a ``ConfigError`` that names it, raised when its section is built.
+``quickstop_eps`` and ``pi_zero_eps`` are constants of :class:`EngineConfig`,
+not keys. All run state lives in the file; there are no environment overrides.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class RunConfig:
             cfg = dataclasses.replace(
                 cfg, seed=seed,
                 schedule=dataclasses.replace(cfg.schedule, seed=seed),
-                errors=ErrorPolicy(cfg.errors.sigma, cfg.errors.mode,
-                                   cfg.errors.magnitude, seed + 1))
+                errors=dataclasses.replace(cfg.errors, seed=seed + 1))
         if max_iters is not None:
             cfg = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine,
                                                                       max_iters=max_iters))
@@ -66,7 +66,7 @@ class RunConfig:
 
 _ENGINE_FIELDS = {f.name for f in dataclasses.fields(EngineConfig)}
 _SCHEDULE_FIELDS = {f.name for f in dataclasses.fields(SchedulePolicy)}
-_ERROR_FIELDS = {"sigma", "mode", "magnitude", "seed"}
+_ERROR_FIELDS = {f.name for f in dataclasses.fields(ErrorPolicy)}
 _TOP_KEYS = {"problem", "engine", "schedule", "errors", "seed", "output"}
 _OUTPUT_KEYS = {"trace", "summary"}
 
@@ -108,7 +108,6 @@ def parse_config(text: str) -> RunConfig:
     errors_section.setdefault("seed", seed + 1)
     try:
         engine = EngineConfig(**engine_section)
-        engine.validate()
         schedule = SchedulePolicy(**schedule_section)
         errors = ErrorPolicy(**errors_section)
     except TypeError as exc:  # e.g. a string where a number belongs

@@ -48,6 +48,10 @@ and final point as points. Under a ``full`` schedule every block is
 selected at every iteration, and under zero delay every read is of the
 current iterate; the loop then skips block selection, delay draws and the
 history.
+
+The configs and the problem are validated when built and hold no run state:
+under ``seeded-random`` prox errors, an engine seeds its own error generator
+from the policy's seed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -71,7 +75,7 @@ from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_bloc
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Solver parameters.
+    """Solver parameters, validated when built.
 
     gamma weighs the primal block in the product-space metric. beta in
     (0, 2) is the projection overrelaxation, the same at every iteration.
@@ -80,12 +84,12 @@ class EngineConfig:
     positive) is a backward block's prox stepsize. For a forward block it caps
     every linesearch trial: the search starts at min(rho_init,
     rho_prev/nu), where rho_prev is the block's last accepted stepsize
-    (rho_init before its first update).
-    quickstop_eps is the relative tolerance for the immediate-accept branch
-    of the linesearch, and pi_zero_eps the threshold below which the
-    separator gradient is treated as exactly zero. Every real field must be
-    a finite number and max_backtracks/max_iters integers; booleans are
-    rejected.
+    (rho_init before its first update). Real fields must be finite numbers
+    and max_backtracks/max_iters integers (booleans rejected); a bad field
+    is a :class:`~projsplit.errors.ConfigError` naming it. The constants
+    quickstop_eps (the linesearch's relative immediate-accept tolerance) and
+    pi_zero_eps (below which pi counts as exactly zero) are float-noise
+    thresholds, not parameters.
     """
 
     gamma: float = 1.0
@@ -97,35 +101,30 @@ class EngineConfig:
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
     max_iters: int = 10000
-    quickstop_eps: float = 1e-14
-    pi_zero_eps: float = 1e-24
 
-    def validate(self, n: int | None = None):
+    quickstop_eps: ClassVar[float] = 1e-14
+    pi_zero_eps: ClassVar[float] = 1e-24
+
+    def __post_init__(self):
         for name in ("gamma", "delta", "tol_primal", "tol_dual"):
             checked_real(name, getattr(self, name), positive=True)
-        for name in ("beta", "nu", "quickstop_eps", "pi_zero_eps"):
-            checked_real(name, getattr(self, name))
+        if not 0 < checked_real("beta", self.beta) < 2:
+            raise ConfigError(f"beta must lie in (0, 2), got {self.beta}")
+        if not 0 < checked_real("nu", self.nu) < 1:
+            raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
         checked_integer("max_backtracks", self.max_backtracks)
         checked_integer("max_iters", self.max_iters, lo=0)
         rho = self.rho_init
-        rho = tuple(rho) if isinstance(rho, (tuple, list, np.ndarray)) else (rho,)
-        for r in rho:
+        for r in rho if isinstance(rho, (tuple, list, np.ndarray)) else (rho,):
             checked_real("rho_init", r, positive=True)
-        if n is not None and len(rho) not in (1, n):
-            raise ConfigError(f"rho_init must be scalar or length {n}, got length {len(rho)}")
-        if not 0 < self.beta < 2:
-            raise ConfigError(f"beta must lie in (0, 2), got {self.beta}")
-        if not 0 < self.nu < 1:
-            raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.quickstop_eps < 0:
-            raise ConfigError(f"quickstop_eps must be >= 0, got {self.quickstop_eps}")
-        if self.pi_zero_eps < 0:
-            raise ConfigError(f"pi_zero_eps must be >= 0, got {self.pi_zero_eps}")
 
     def resolve_rho(self, n: int) -> tuple[float, ...]:
+        """One stepsize per block; a per-block rho_init must have n entries."""
         rho = np.atleast_1d(np.asarray(self.rho_init, dtype=float))
         if rho.shape[0] == 1:
             return tuple(float(rho[0]) for _ in range(n))
+        if rho.shape[0] != n:
+            raise ConfigError(f"rho_init must be scalar or length {n}, got length {rho.shape[0]}")
         return tuple(float(r) for r in rho)
 
 
@@ -229,10 +228,11 @@ class RunTrace:
 # ---------------------------------------------------------------------------
 
 def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.ndarray,
-                    rho: float, error_policy: ErrorPolicy) -> BlockState:
-    """Resolvent step at input G z + rho*w + e with an admissible error e."""
+                    rho: float, error_policy: ErrorPolicy,
+                    rng: np.random.Generator | None) -> BlockState:
+    """Resolvent step at input G z + rho*w + e with an admissible error e drawn from ``rng``."""
     gz = slot.map.apply(z_delayed)
-    e, res = inject_error(error_policy, gz + rho * w_delayed, slot.op, rho, gz, w_delayed)
+    e, res = inject_error(error_policy, rng, gz + rho * w_delayed, slot.op, rho, gz, w_delayed)
     return BlockState(res.x, res.y, rho, 0, gz, w_delayed, None, e)
 
 
@@ -330,16 +330,16 @@ def separator_gradient(sep: SeparatorEval, gamma: float) -> PrimalDualPoint:
     return PrimalDualPoint(Vec(v), tuple(Vec(ui) for ui in sep.u))
 
 
-def project(p, sep: SeparatorEval, gamma: float, alpha_hook=None):
+def project(p, sep: SeparatorEval, gamma: float):
     """Relaxed projection of the iterate ``p = (z, w)`` onto the separator's zero hyperplane.
 
-    z+ = z - alpha*v/gamma and w_i+ = w_i - alpha*u_i, returned as a pair of
-    read-only arrays; a zero steplength returns p itself. Raises
+    z+ = z - alpha*v/gamma and w_i+ = w_i - alpha*u_i with the separator's
+    steplength alpha, returned as a pair of read-only arrays; a zero
+    steplength returns p itself. Raises
     :class:`~projsplit.errors.NonFiniteError` when an entry of the result
-    is NaN/Inf. ``alpha_hook`` is test instrumentation that may transform
-    the steplength to corrupt the projection deliberately.
+    is NaN/Inf.
     """
-    alpha = sep.alpha if alpha_hook is None else alpha_hook(sep.alpha)
+    alpha = sep.alpha
     if alpha == 0.0:
         return p
     z, w = p
@@ -379,23 +379,21 @@ class Engine:
     config : EngineConfig
     schedule : SchedulePolicy
     error_policy : ErrorPolicy
-        Prox perturbation policy; a fresh copy is taken so generator state
-        stays confined to this engine.
-    alpha_hook : callable(float) -> float, optional
-        Test instrumentation applied to the projection steplength.
+        Prox perturbation policy. Under ``seeded-random`` errors the engine
+        seeds its own generator from the policy's seed (without errors it
+        builds none), so every engine built from one policy draws the same.
     """
 
     def __init__(self, problem, config: EngineConfig | None = None,
                  schedule: SchedulePolicy | None = None,
-                 error_policy: ErrorPolicy | None = None, *, alpha_hook=None):
+                 error_policy: ErrorPolicy | None = None):
         self.problem = problem
         self.config = config if config is not None else EngineConfig()
-        self.config.validate(problem.n)
-        problem.validate()
         self.schedule = (schedule.resolved(problem.n) if schedule is not None
                          else SchedulePolicy(M=problem.n))
-        self.error_policy = error_policy.fresh() if error_policy is not None else ErrorPolicy()
-        self.alpha_hook = alpha_hook
+        self.error_policy = error_policy if error_policy is not None else ErrorPolicy()
+        self._rng = (np.random.default_rng(self.error_policy.seed)
+                     if self.error_policy.mode == "seeded-random" else None)
 
         n = self._n = problem.n
         rho = self.config.resolve_rho(n)
@@ -474,7 +472,8 @@ class Engine:
                 w_d = w_stale[i] if i < last else dual_sum(w_stale, self._maps, self._dim)
             try:
                 if slot.kind == "backward":
-                    blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init, self.error_policy)
+                    blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init, self.error_policy,
+                                                self._rng)
                 else:
                     rho_start = min(slot.rho_init, blocks[i].rho / cfg.nu)
                     blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start, cfg)
@@ -515,7 +514,7 @@ class Engine:
         if converged:
             return StepOutcome("converged", self.point)
         try:
-            new = project(p, sep, cfg.gamma, self.alpha_hook)
+            new = project(p, sep, cfg.gamma)
         except NonFiniteError as exc:
             raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         if new is not p:
@@ -570,7 +569,7 @@ def _largest_block(blocks) -> int:
 def run(problem, config: EngineConfig | None = None,
         schedule: SchedulePolicy | None = None,
         error_policy: ErrorPolicy | None = None,
-        callback=None, **engine_kwargs) -> RunTrace:
+        callback=None) -> RunTrace:
     """Build an engine for the problem and drive it to a terminal status."""
-    eng = Engine(problem, config, schedule, error_policy, **engine_kwargs)
+    eng = Engine(problem, config, schedule, error_policy)
     return eng.run(callback=callback)

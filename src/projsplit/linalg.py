@@ -198,7 +198,16 @@ def weighted_norm(z: np.ndarray, w, gamma: float) -> float:
 
 
 def point_diff(p: PrimalDualPoint, q: PrimalDualPoint) -> PrimalDualPoint:
+    """p - q, block by block; :class:`ShapeError` unless both have the same block dimensions."""
     if len(p.w) != len(q.w):
         raise ShapeError(f"dual block count mismatch: {len(p.w)} vs {len(q.w)}")
-    return PrimalDualPoint(Vec(p.z.entries - q.z.entries),
-                           tuple(Vec(wp.entries - wq.entries) for wp, wq in zip(p.w, q.w)))
+    return PrimalDualPoint(_diff(p.z, q.z, "z"),
+                           tuple(_diff(p.w[i], q.w[i], f"w_{i}") for i in range(len(p.w))))
+
+
+def _diff(a: Vec, b: Vec, block: str) -> Vec:
+    # equal lengths, checked: numpy would broadcast a length-1 block silently
+    if a.entries.shape != b.entries.shape:
+        raise ShapeError(f"block {block} dimension mismatch: "
+                         f"{len(a.entries)} vs {len(b.entries)}")
+    return Vec(a.entries - b.entries)

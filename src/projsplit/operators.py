@@ -15,7 +15,7 @@ hand a callable a read-only view of its argument and pass its output through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +107,7 @@ def prox_eval(op: MonotoneOperator, rho: float, a: np.ndarray) -> ProxResult:
 # inexact proximal steps
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorPolicy:
     """Controls perturbation of proximal-step inputs.
 
@@ -120,14 +120,15 @@ class ErrorPolicy:
     mode injects nothing; ``seeded-random`` draws a direction from a seeded
     generator, scales it to ``magnitude``, and halves it until both
     inequalities hold (falling back to zero, which always satisfies them).
-    sigma and magnitude are finite numbers, seed an integer >= 0.
+    sigma in [0, 1) and magnitude >= 0 are finite, seed an integer >= 0, and
+    a nonzero magnitude needs ``seeded-random``. The policy holds no
+    generator: each engine seeds its own from ``seed``.
     """
 
     sigma: float = 0.0
     mode: str = "none"  # "none" | "seeded-random"
     magnitude: float = 0.0
     seed: int = 0
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= checked_real("sigma", self.sigma) < 1.0:
@@ -137,16 +138,9 @@ class ErrorPolicy:
         if checked_real("magnitude", self.magnitude) < 0:
             raise ConfigError(f"error magnitude must be >= 0, got {self.magnitude}")
         checked_integer("error seed", self.seed, lo=0)
-
-    def fresh(self) -> "ErrorPolicy":
-        """A copy with a newly seeded generator; one per solver run."""
-        return ErrorPolicy(self.sigma, self.mode, self.magnitude, self.seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
+        if self.mode == "none" and self.magnitude != 0.0:
+            raise ConfigError(f"error magnitude {self.magnitude} needs mode 'seeded-random'; "
+                              "mode 'none' injects no errors")
 
 
 def error_inequality_gaps(e: np.ndarray, result: ProxResult, z_block: np.ndarray,
@@ -162,19 +156,22 @@ def error_inequality_gaps(e: np.ndarray, result: ProxResult, z_block: np.ndarray
 _MAX_HALVINGS = 50
 
 
-def inject_error(policy: ErrorPolicy, base_input: np.ndarray, op: MonotoneOperator, rho: float,
-                 z_block: np.ndarray, w_block: np.ndarray) -> tuple[np.ndarray, ProxResult]:
+def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_input: np.ndarray,
+                 op: MonotoneOperator, rho: float, z_block: np.ndarray,
+                 w_block: np.ndarray) -> tuple[np.ndarray, ProxResult]:
     """Perturb a prox input by an admissible error and evaluate the resolvent.
 
-    ``base_input`` is the unperturbed input G z + rho*w; ``z_block`` is G z
-    itself. Returns the accepted error e and the prox result at base + e.
-    Without an admissible halving e is zero, whose gaps are sigma*||.||^2 >= 0.
+    ``rng`` draws the error direction (None is fine when the policy injects
+    nothing). ``base_input`` is the unperturbed input G z + rho*w;
+    ``z_block`` is G z itself. Returns the accepted error e and the prox
+    result at base + e. Without an admissible halving e is zero, whose gaps
+    are sigma*||.||^2 >= 0.
     """
     zero = np.zeros(base_input.shape[0])
     if policy.mode == "none" or policy.magnitude == 0.0:
         return zero, prox_eval(op, rho, base_input)
 
-    direction = policy.rng.standard_normal(base_input.shape[0])
+    direction = rng.standard_normal(base_input.shape[0])
     # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
     nrm = math.sqrt(direction.dot(direction))
     if nrm == 0.0:

@@ -16,7 +16,7 @@ a three-block problem with dense compositions and a skew forward block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -33,7 +33,9 @@ class ProblemSpec:
 
     The last block always acts on the primal space through the identity.
     ``forward_blocks`` holds the 0-based indices updated by forward steps;
-    all remaining blocks are updated through their resolvents.
+    all remaining blocks are updated through their resolvents. The spec is
+    validated when built: mismatched maps, operators, initial point or
+    partition raise a :class:`~projsplit.errors.ConfigError`.
     """
 
     name: str
@@ -56,7 +58,7 @@ class ProblemSpec:
     def identity_map(self) -> LinearMap:
         return LinearMap.identity(self.dim)
 
-    def validate(self):
+    def __post_init__(self):
         n = self.n
         if n < 1:
             raise ConfigError("a problem needs at least one operator")
@@ -86,8 +88,7 @@ class ProblemSpec:
                                   "but is not prox-evaluable")
 
     def with_partition(self, forward_blocks) -> "ProblemSpec":
-        return ProblemSpec(self.name, self.maps, self.operators, frozenset(forward_blocks),
-                           self.z_init, self.w_init, self.params)
+        return replace(self, forward_blocks=frozenset(forward_blocks))
 
 
 @dataclass(frozen=True)
@@ -568,5 +569,4 @@ def build(kind: str, params: Mapping | None = None) -> tuple[ProblemSpec, Refere
             raise ConfigError(f"problem parameter 'forward_blocks' must be a list of block "
                               f"numbers, got {partition!r}")
         spec = spec.with_partition([_integer("forward_blocks", i) - 1 for i in partition])
-        spec.validate()
     return spec, ref

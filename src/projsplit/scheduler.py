@@ -92,20 +92,15 @@ def select_blocks(policy: SchedulePolicy, n: int, k: int, last_selected) -> tupl
     """
     if k < 1:
         raise ConfigError(f"iterations are numbered from 1, got k={k}")
-    m_window = policy.M if policy.M is not None else n
     if policy.kind == "full":
-        chosen = set(range(n))
-    else:
-        chunk, row = divmod(k - 1, _CHUNK)
-        draws = _selection_table(policy.seed, chunk, n)[row].tolist()
-        p_select = policy.p_select
-        chosen = {i for i in range(n) if draws[i] < p_select}
-    for i in range(n):
-        if k - last_selected[i] >= m_window:
-            chosen.add(i)
-    if not chosen:
-        chosen.add(int(np.argmin(last_selected)))
-    return tuple(sorted(chosen))
+        return tuple(range(n))
+    m_window = policy.M if policy.M is not None else n
+    chunk, row = divmod(k - 1, _CHUNK)
+    draws = _selection_table(policy.seed, chunk, n)[row].tolist()
+    p_select = policy.p_select
+    chosen = tuple([i for i in range(n)
+                    if draws[i] < p_select or k - last_selected[i] >= m_window])
+    return chosen if chosen else (int(np.argmin(last_selected)),)
 
 
 def delayed_index(policy: SchedulePolicy, i: int, k: int) -> int:

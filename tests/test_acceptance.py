@@ -55,6 +55,13 @@ def test_monitor_tolerances_are_the_criteria_tolerances():
     assert checks.ERROR_ADMISSIBILITY_TOL == ERROR_ADMISSIBILITY_TOL
 
 
+def test_engine_thresholds_are_fixed_constants():
+    # the linesearch's immediate-accept tolerance and the exact-termination
+    # threshold on pi are float-noise guards, not parameters of the method
+    assert ps.EngineConfig.quickstop_eps == 1e-14
+    assert ps.EngineConfig.pi_zero_eps == 1e-24
+
+
 def _report(criterion, ok=True):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
 

@@ -38,13 +38,24 @@ def test_checks_without_reference_skip_oracle_checks():
     assert mon.all_passed
 
 
-def test_mildly_inflated_steplength_breaks_hyperplane_landing():
+def _scale_steplength(monkeypatch, factor):
+    """Make the engine project with ``factor`` times the separator's steplength."""
+    original = projsplit.engine.project
+
+    def scaled(p, sep, gamma):
+        return original(p, sep._replace(alpha=factor * sep.alpha), gamma)
+
+    monkeypatch.setattr(projsplit.engine, "project", scaled)
+
+
+def test_mildly_inflated_steplength_breaks_hyperplane_landing(monkeypatch):
     # scaling the steplength 1.5x leaves the configured relaxation bound, so
     # the projection-exactness check must flag it; the distance to the
     # solution still shrinks (any factor below 2 stays nonexpansive), so the
     # Fejer check alone would not catch this corruption
     spec, ref = build("lasso", {})
-    eng = Engine(spec, EngineConfig(max_iters=300), alpha_hook=lambda a: 1.5 * a)
+    _scale_steplength(monkeypatch, 1.5)
+    eng = Engine(spec, EngineConfig(max_iters=300))
     mon = InvariantMonitor(spec, 1.0, ref)
     eng.run(callback=mon)
     named = _results_by_name(mon.results())
@@ -53,9 +64,10 @@ def test_mildly_inflated_steplength_breaks_hyperplane_landing():
     assert named["fejer"].passed
 
 
-def test_overshooting_steplength_breaks_fejer():
+def test_overshooting_steplength_breaks_fejer(monkeypatch):
     spec, ref = build("lasso", {})
-    eng = Engine(spec, EngineConfig(max_iters=300), alpha_hook=lambda a: 2.5 * a)
+    _scale_steplength(monkeypatch, 2.5)
+    eng = Engine(spec, EngineConfig(max_iters=300))
     mon = InvariantMonitor(spec, 1.0, ref)
     eng.run(callback=mon)
     named = _results_by_name(mon.results())
@@ -148,9 +160,9 @@ def test_scaled_pi_breaks_pi_identity(monkeypatch):
 
 
 def test_unhalved_error_breaks_error_bounds(monkeypatch):
-    def unhalved(policy, base_input, op, rho, z_block, w_block):
+    def unhalved(policy, rng, base_input, op, rho, z_block, w_block):
         # the first random draw, accepted without the admissibility halvings
-        direction = policy.rng.standard_normal(base_input.shape[0])
+        direction = rng.standard_normal(base_input.shape[0])
         e = policy.magnitude * direction / np.linalg.norm(direction)
         return e, prox_eval(op, rho, base_input + e)
 
@@ -276,9 +288,10 @@ def test_tight_audit_worst_values_are_floats():
     assert all(type(r.worst) is float for r in results), [r.worst for r in results]
 
 
-def _overshoot_rows(factor):
+def _overshoot_rows(factor, monkeypatch):
     spec, ref = build("lasso", {})
-    eng = Engine(spec, EngineConfig(max_iters=300), alpha_hook=lambda a: factor * a)
+    _scale_steplength(monkeypatch, factor)
+    eng = Engine(spec, EngineConfig(max_iters=300))
     mon = InvariantMonitor(spec, 1.0, ref)
     eng.run(callback=mon)
     return _rows(mon.results())
@@ -336,7 +349,7 @@ def _verify_rows(case, monkeypatch):
     if case == "async_seed_0_tight_audit":
         return _tight_audit_rows(0)
     if case.startswith("lasso_alpha_"):
-        return _overshoot_rows(float(case.rsplit("_", 1)[1]))
+        return _overshoot_rows(float(case.rsplit("_", 1)[1]), monkeypatch)
     if case == "async_corrupted":
         return _corrupted_async_rows(monkeypatch)
     return _config_rows(case)

@@ -194,7 +194,7 @@ BAD_FIELDS = [
     ("schedule", "seed", -1), (None, "seed", -1), ("errors", "seed", -3),
     ("errors", "magnitude", float("inf")), ("errors", "magnitude", float("nan")),
     ("schedule", "M", True),
-    ("engine", "gamma", float("inf")), ("engine", "pi_zero_eps", float("nan")),
+    ("errors", "mode", "none"), ("engine", "gamma", float("inf")),
     ("engine", "max_iters", True), ("engine", "max_backtracks", True),
     ("engine", "delta", float("inf")),
 ]

@@ -54,9 +54,11 @@ def test_unknown_keys_are_rejected_by_name():
         parse_config('{"problem": {"kind": "lasso"}, "verbosity": 2}')
     with pytest.raises(ConfigError, match="sched"):
         parse_config('{"problem": {"kind": "lasso"}, "sched": {}}')
-    for key in ("rho_min", "rho_max"):
+    for key in ("rho_min", "rho_max", "quickstop_eps", "pi_zero_eps"):
         with pytest.raises(ConfigError, match=key):
             parse_config('{"problem": {"kind": "lasso"}, "engine": {"%s": 1.0}}' % key)
+    with pytest.raises(ConfigError, match="_rng"):
+        parse_config('{"problem": {"kind": "lasso"}, "errors": {"_rng": null}}')
 
 
 def test_config_requires_problem_kind():

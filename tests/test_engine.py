@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import projsplit.engine
 from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, ErrorPolicy,
                        LinearMap, MonotoneOperator, OperatorSlot, ProblemSpec,
                        SchedulePolicy, Vec, affine_monotone, affine_value,
@@ -36,48 +37,61 @@ NO_ERRORS = ErrorPolicy()
 
 def test_config_bounds_are_enforced_by_name():
     with pytest.raises(ConfigError, match="beta"):
-        EngineConfig(beta=2.0).validate()
+        EngineConfig(beta=2.0)
     with pytest.raises(ConfigError, match="nu"):
-        EngineConfig(nu=0.0).validate()
+        EngineConfig(nu=0.0)
     with pytest.raises(ConfigError, match="nu"):
-        EngineConfig(nu=1.0).validate()
+        EngineConfig(nu=1.0)
     with pytest.raises(ConfigError, match="gamma"):
-        EngineConfig(gamma=0.0).validate()
+        EngineConfig(gamma=0.0)
     with pytest.raises(ConfigError, match="rho_init"):
-        EngineConfig(rho_init=0.0).validate()
+        EngineConfig(rho_init=0.0)
     with pytest.raises(ConfigError, match="max_backtracks"):
-        EngineConfig(max_backtracks=0).validate()
+        EngineConfig(max_backtracks=0)
     with pytest.raises(ConfigError, match="beta"):
-        EngineConfig(beta=0.0).validate()
-    EngineConfig().validate(3)
+        EngineConfig(beta=0.0)
+    with pytest.raises(ConfigError, match="max_iters"):
+        dataclasses.replace(EngineConfig(), max_iters=-1)
+    assert EngineConfig().resolve_rho(3) == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
 def test_config_rejects_a_nonpositive_or_non_finite_rho_init(rho):
     with pytest.raises(ConfigError, match="rho_init"):
-        EngineConfig(rho_init=rho).validate()
+        EngineConfig(rho_init=rho)
     with pytest.raises(ConfigError, match="rho_init"):
-        EngineConfig(rho_init=(1.0, rho)).validate(2)
+        EngineConfig(rho_init=(1.0, rho))
 
 
 def test_config_accepts_any_finite_positive_rho_init():
     for rho in (1e-300, 1e300):
-        EngineConfig(rho_init=rho).validate(2)
-        EngineConfig(rho_init=(rho, 1.0)).validate(2)
+        assert EngineConfig(rho_init=rho).resolve_rho(2) == (rho, rho)
+        assert EngineConfig(rho_init=(rho, 1.0)).resolve_rho(2) == (rho, 1.0)
 
 
 def test_config_per_block_stepsizes():
     cfg = EngineConfig(rho_init=(1.0, 2.0))
     assert cfg.resolve_rho(2) == (1.0, 2.0)
+    with pytest.raises(ConfigError, match="rho_init must be scalar or length 3, got length 2"):
+        cfg.resolve_rho(3)
+    spec, _ = build("skew_composed", {})
     with pytest.raises(ConfigError, match="rho_init"):
-        cfg.validate(3)
+        Engine(spec, cfg)
+
+
+def test_float_noise_thresholds_are_not_fields():
+    names = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert len(names) == 9 and names.isdisjoint({"quickstop_eps", "pi_zero_eps"})
+    with pytest.raises(TypeError):
+        EngineConfig(quickstop_eps=0.0)
+    assert EngineConfig(max_iters=5).quickstop_eps == 1e-14  # read from instances too
 
 
 # -- backward updates ---------------------------------------------------------
 
 def test_backward_soft_threshold():
     st_ = slot(l1_subdifferential(1.0, 1), "backward")
-    state = backward_update(st_, arr(2.0), arr(0.0), 1.0, NO_ERRORS)
+    state = backward_update(st_, arr(2.0), arr(0.0), 1.0, NO_ERRORS, None)
     assert state.x == pytest.approx([1.0])
     assert state.y == pytest.approx([1.0])
 
@@ -85,14 +99,14 @@ def test_backward_soft_threshold():
 def test_backward_zero_operator():
     st_ = slot(zero_op(2), "backward")
     z, w = arr(1.0, -2.0), arr(0.5, 0.25)
-    state = backward_update(st_, z, w, 2.0, NO_ERRORS)
+    state = backward_update(st_, z, w, 2.0, NO_ERRORS, None)
     assert state.x == pytest.approx(z + 2.0 * w)
     assert np.linalg.norm(state.y) == 0.0
 
 
 def test_backward_box_projection():
     st_ = slot(box_normal_cone([-1.0], [1.0]), "backward")
-    state = backward_update(st_, arr(2.0), arr(0.5), 2.0, NO_ERRORS)
+    state = backward_update(st_, arr(2.0), arr(0.5), 2.0, NO_ERRORS, None)
     assert state.x == pytest.approx([1.0])
     assert state.y == pytest.approx([1.0])
 
@@ -102,7 +116,7 @@ def test_backward_identity_gap_is_tiny():
     rng = np.random.default_rng(1)
     for _ in range(20):
         state = backward_update(st_, rng.standard_normal(3), rng.standard_normal(3),
-                                float(rng.uniform(0.1, 5)), NO_ERRORS)
+                                float(rng.uniform(0.1, 5)), NO_ERRORS, None)
         assert update_gap(state, "backward") <= 1e-10
 
 
@@ -273,8 +287,8 @@ def test_projection_noop_when_phi_nonpositive():
 
 def test_overrelaxation_beyond_two_rejected_in_config():
     with pytest.raises(ConfigError, match=r"beta must lie in \(0, 2\)"):
-        EngineConfig(beta=2.0).validate()
-    EngineConfig(beta=1.99).validate()
+        EngineConfig(beta=2.0)
+    assert EngineConfig(beta=1.99).beta == 1.99
 
 
 # -- the outer loop -------------------------------------------------------------
@@ -403,9 +417,12 @@ def test_wrong_shaped_operator_output_ends_in_a_status(make_spec):
                              "expected 2 entries, got array of shape (4,)")
 
 
-def test_overflowing_projection_ends_in_a_status():
+def test_overflowing_projection_ends_in_a_status(monkeypatch):
     spec, _ = build("lasso", {"m": 8, "d": 12})
-    eng = Engine(spec, EngineConfig(max_iters=5), alpha_hook=lambda a: np.inf)
+    original = projsplit.engine.project
+    monkeypatch.setattr(projsplit.engine, "project",
+                        lambda p, sep, gamma: original(p, sep._replace(alpha=np.inf), gamma))
+    eng = Engine(spec, EngineConfig(max_iters=5))
     with np.errstate(invalid="ignore"):
         trace = eng.run()
     assert trace.status == "assumption-violation"
@@ -578,6 +595,43 @@ def test_determinism_across_runs():
     for a, b in zip(t1.records, t2.records):
         assert a == b
     assert np.array_equal(t1.final_point.z.entries, t2.final_point.z.entries)
+
+
+def test_one_error_policy_gives_the_same_records_in_every_run():
+    # a policy holds no generator state: reusing it, or a replace copy of
+    # it, replays the same prox errors
+    spec, _ = build("lasso", {"m": 8, "d": 12})
+    cfg = EngineConfig(max_iters=50)
+    policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=3)
+    first = run(spec, cfg, error_policy=policy)
+    assert run(spec, cfg, error_policy=policy).records == first.records
+    assert run(spec, cfg, error_policy=dataclasses.replace(policy)).records == first.records
+    assert run(spec, cfg).records != first.records
+
+
+def _count_generators(monkeypatch):
+    calls = [0]
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return calls
+
+
+def test_only_a_run_with_errors_builds_an_error_generator(monkeypatch):
+    # an unconditional generator costs set-up time and the memory of numpy's
+    # generator machinery in runs that never draw from it
+    spec, _ = build("lasso", {"m": 8, "d": 12})
+    cfg = EngineConfig(max_iters=50)
+    calls = _count_generators(monkeypatch)
+    assert run(spec, cfg).iterations > 0
+    assert run(spec, cfg, error_policy=ErrorPolicy(sigma=0.5)).iterations > 0
+    assert calls[0] == 0
+    run(spec, cfg, error_policy=ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1))
+    assert calls[0] == 1
 
 
 # -- synchronous reference comparison -------------------------------------------

@@ -132,3 +132,9 @@ def test_point_diff():
     d = point_diff(p, q)
     assert d.z.entries == pytest.approx([2.0])
     assert d.w[0].entries == pytest.approx([-3.0])
+    # numpy would broadcast a length-1 block against any other length
+    with pytest.raises(ShapeError, match="block z dimension mismatch: 3 vs 1"):
+        point_diff(PrimalDualPoint(vec(1.0, 2.0, 3.0)), PrimalDualPoint(vec(1.0)))
+    with pytest.raises(ShapeError, match="block w_0 dimension mismatch: 2 vs 1"):
+        point_diff(PrimalDualPoint(vec(0.0), (vec(1.0, 2.0),)),
+                   PrimalDualPoint(vec(0.0), (vec(3.0),)))

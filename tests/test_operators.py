@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,13 +279,27 @@ def test_error_policy_validation():
             ErrorPolicy(mode="seeded-random", magnitude=bad)
     with pytest.raises(ConfigError, match="seed"):
         ErrorPolicy(seed=-1)
+    # mode 'none' injects nothing, so a nonzero magnitude would be ignored
+    with pytest.raises(ConfigError, match="magnitude 0.1 needs mode 'seeded-random'"):
+        ErrorPolicy(mode="none", magnitude=0.1)
+    with pytest.raises(ConfigError, match="sigma"):  # the per-field checks come first
+        ErrorPolicy(sigma=2.0, magnitude=0.1)
+    assert ErrorPolicy(mode="seeded-random", magnitude=0.0).magnitude == 0.0
+
+
+def test_error_policy_is_a_frozen_value_of_four_fields():
+    policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=3)
+    assert [f.name for f in dataclasses.fields(policy)] == ["sigma", "mode", "magnitude", "seed"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.seed = 4
+    assert policy == ErrorPolicy(0.5, "seeded-random", 0.1, 3)
 
 
 def test_inject_none_mode_returns_zero_error():
     op = l1_subdifferential(1.0, 1)
     gz = vec(2.0)
     base = gz + 1.0 * vec(0.0)
-    e, res = inject_error(ErrorPolicy(), base, op, 1.0, gz, vec(0.0))
+    e, res = inject_error(ErrorPolicy(), None, base, op, 1.0, gz, vec(0.0))
     assert np.linalg.norm(e) == 0.0
     assert res.x == pytest.approx([1.0])
 
@@ -311,12 +327,13 @@ def test_injected_errors_always_admissible(seed, sigma, magnitude):
     rng = np.random.default_rng(seed)
     dim = 3
     policy = ErrorPolicy(sigma=sigma, mode="seeded-random", magnitude=magnitude, seed=seed)
+    errors = np.random.default_rng(seed)
     for op in (l1_subdifferential(1.0, dim), box_normal_cone(-np.ones(dim), np.ones(dim))):
         gz = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
         rho = float(rng.uniform(0.1, 5.0))
         base = gz + rho * w
-        e, res = inject_error(policy, base, op, rho, gz, w)
+        e, res = inject_error(policy, errors, base, op, rho, gz, w)
         g1, g2 = error_inequality_gaps(e, res, gz, w, rho, sigma)
         assert g1 >= -1e-12 and g2 >= -1e-12
         # the prox really was evaluated at the perturbed input
@@ -330,6 +347,7 @@ def test_sigma_zero_forces_tiny_or_zero_error():
     op = l1_subdifferential(1.0, 2)
     policy = ErrorPolicy(sigma=0.0, mode="seeded-random", magnitude=5.0, seed=42)
     gz, w = vec(0.3, -0.2), vec(0.1, 0.1)
-    e, res = inject_error(policy, gz + 1.0 * w, op, 1.0, gz, w)
+    e, res = inject_error(policy, np.random.default_rng(policy.seed), gz + 1.0 * w, op, 1.0, gz,
+                          w)
     g1, g2 = error_inequality_gaps(e, res, gz, w, 1.0, 0.0)
     assert g1 >= -1e-12 and g2 >= -1e-12

@@ -279,7 +279,8 @@ def test_partition_override_requires_capability():
         build("box_cubic", {"forward_blocks": [2]})  # the box block has no forward map
     spec, _ = build("lasso", {"forward_blocks": []})  # affine block can run backward
     assert spec.forward_blocks == frozenset()
-    spec.validate()
+    with pytest.raises(ConfigError, match="block 1 .* marked forward"):
+        spec.with_partition([1])  # the partition is revalidated when rebuilt
 
 
 def _three_block_spec(last=3, domain=3, codomain=2, w1=2):
@@ -298,13 +299,12 @@ def _three_block_spec(last=3, domain=3, codomain=2, w1=2):
     ({"w1": 3}, "initial dual block 1"),
 ])
 def test_problem_validation_checks_every_dimension(bad, message):
-    _three_block_spec().validate()
+    assert _three_block_spec().n == 3
     with pytest.raises(ConfigError, match=message):
-        _three_block_spec(**bad).validate()
+        _three_block_spec(**bad)
 
 
 def test_problem_validation_errors():
-    spec = ProblemSpec(name="bad", maps=(), operators=(zero_op(2), zero_op(2)),
-                       forward_blocks=frozenset(), z_init=Vec(np.zeros(2)), w_init=())
     with pytest.raises(ConfigError, match="maps"):
-        spec.validate()
+        ProblemSpec(name="bad", maps=(), operators=(zero_op(2), zero_op(2)),
+                    forward_blocks=frozenset(), z_init=Vec(np.zeros(2)), w_init=())

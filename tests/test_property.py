@@ -134,8 +134,7 @@ FIELDS = {
     ("engine", "nu"): "open_unit", ("engine", "delta"): "positive",
     ("engine", "max_backtracks"): "size", ("engine", "rho_init"): "positive",
     ("engine", "tol_primal"): "positive", ("engine", "tol_dual"): "positive",
-    ("engine", "max_iters"): "count", ("engine", "quickstop_eps"): "nonnegative",
-    ("engine", "pi_zero_eps"): "nonnegative",
+    ("engine", "max_iters"): "count",
     ("schedule", "p_select"): "probability", ("schedule", "M"): "window",
     ("schedule", "D"): "count",
     ("schedule", "seed"): "seed",
