@@ -86,8 +86,8 @@ def cmd_run(args) -> int:
     trace = engine.run()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out_dir / cfg.trace_filename, trace, spec.n)
-    write_summary_json(out_dir / cfg.summary_filename, trace, cfg)
+    write_trace_csv(out_dir / "trace.csv", trace, spec.n)
+    write_summary_json(out_dir / "summary.json", trace, cfg)
     print(f"{cfg.problem_kind}: {trace.status} after {trace.iterations} iterations "
           f"(primal {trace.max_primal_residual:.3e}, dual {trace.max_dual_residual:.3e})")
     _print_message(trace)

@@ -9,11 +9,11 @@ Schema (all sections optional except ``problem``):
       "engine":   { any EngineConfig field },
       "schedule": { any SchedulePolicy field },
       "errors":   {"sigma": 0.0, "mode": "none", "magnitude": 0.0, "seed": ...},
-      "seed":     0,
-      "output":   {"trace": "trace.csv", "summary": "summary.json"}
+      "seed":     0
     }
 
-Omitted fields take the documented defaults. Seeds are integers >= 0. A
+Every section is a JSON object, and ``kind`` a string. Omitted fields take
+the documented defaults. Seeds are integers >= 0. A
 schedule's ``kind`` is "full" or "seeded-random" and its ``delay_kind``
 "zero" or "seeded-random".
 When ``schedule.seed`` or ``errors.seed`` are omitted they derive from the
@@ -22,6 +22,8 @@ Unknown keys are rejected by name, and a field of the wrong type or out of
 range is a ``ConfigError`` that names it, raised when its section is built.
 ``quickstop_eps`` and ``pi_zero_eps`` are constants of :class:`EngineConfig`,
 not keys. All run state lives in the file; there are no environment overrides.
+``projsplit run`` writes ``trace.csv`` and ``summary.json`` into its ``--out``
+directory; no key names or moves them.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ class RunConfig:
     schedule: SchedulePolicy = field(default_factory=SchedulePolicy)
     errors: ErrorPolicy = field(default_factory=ErrorPolicy)
     seed: int = 0
-    trace_filename: str = "trace.csv"
-    summary_filename: str = "summary.json"
 
     def with_overrides(self, seed: int | None = None,
                        max_iters: int | None = None) -> "RunConfig":
@@ -67,8 +67,7 @@ class RunConfig:
 _ENGINE_FIELDS = {f.name for f in dataclasses.fields(EngineConfig)}
 _SCHEDULE_FIELDS = {f.name for f in dataclasses.fields(SchedulePolicy)}
 _ERROR_FIELDS = {f.name for f in dataclasses.fields(ErrorPolicy)}
-_TOP_KEYS = {"problem", "engine", "schedule", "errors", "seed", "output"}
-_OUTPUT_KEYS = {"trace", "summary"}
+_TOP_KEYS = {"problem", "engine", "schedule", "errors", "seed"}
 
 
 def _reject_unknown(section: Mapping, allowed: set, where: str):
@@ -76,6 +75,16 @@ def _reject_unknown(section: Mapping, allowed: set, where: str):
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _section(data: Mapping, name: str, allowed: set | None = None) -> dict:
+    """A copy of the JSON object ``data[name]`` ({} when absent), with its keys checked."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {section!r}")
+    if allowed is not None:
+        _reject_unknown(section, allowed, f"'{name}'")
+    return dict(section)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -88,23 +97,21 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("configuration must be a JSON object")
     _reject_unknown(data, _TOP_KEYS, "configuration")
 
-    problem = data.get("problem")
-    if not isinstance(problem, dict) or "kind" not in problem:
+    problem = _section(data, "problem")
+    if "kind" not in problem:
         raise ConfigError("configuration needs a 'problem' object with a 'kind'")
-    problem = dict(problem)
     kind = problem.pop("kind")
+    if not isinstance(kind, str):
+        raise ConfigError(f"problem 'kind' must be a string, got {kind!r}")
 
     seed = checked_integer("seed", data.get("seed", 0), lo=0)
 
-    engine_section = dict(data.get("engine", {}))
-    _reject_unknown(engine_section, _ENGINE_FIELDS, "'engine'")
+    engine_section = _section(data, "engine", _ENGINE_FIELDS)
     if isinstance(engine_section.get("rho_init"), list):
         engine_section["rho_init"] = tuple(engine_section["rho_init"])
-    schedule_section = dict(data.get("schedule", {}))
-    _reject_unknown(schedule_section, _SCHEDULE_FIELDS, "'schedule'")
+    schedule_section = _section(data, "schedule", _SCHEDULE_FIELDS)
     schedule_section.setdefault("seed", seed)
-    errors_section = dict(data.get("errors", {}))
-    _reject_unknown(errors_section, _ERROR_FIELDS, "'errors'")
+    errors_section = _section(data, "errors", _ERROR_FIELDS)
     errors_section.setdefault("seed", seed + 1)
     try:
         engine = EngineConfig(**engine_section)
@@ -113,11 +120,6 @@ def parse_config(text: str) -> RunConfig:
     except TypeError as exc:  # e.g. a string where a number belongs
         raise ConfigError(f"bad value type in configuration: {exc}") from exc
 
-    output = dict(data.get("output", {}))
-    _reject_unknown(output, _OUTPUT_KEYS, "'output'")
-
     return RunConfig(problem_kind=kind, problem_params=problem, engine=engine,
-                     schedule=schedule, errors=errors, seed=seed,
-                     trace_filename=output.get("trace", "trace.csv"),
-                     summary_filename=output.get("summary", "summary.json"))
+                     schedule=schedule, errors=errors, seed=seed)
 

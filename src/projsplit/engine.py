@@ -29,12 +29,23 @@ scaled by the overrelaxation factor beta. The loop stops on small
 residuals, on an exactly-zero separator gradient (which certifies the
 block values as a solution), or on the iteration budget. A run ends with
 the status ``assumption-violation`` when a linesearch exhausts its trial
-budget, when an operator returns NaN/Inf or a wrong-shaped value at G z,
-in a trial or from a prox, or when NaN/Inf reaches the separator or the
+budget, when an operator returns NaN/Inf at G z or from a prox, when it
+returns a wrong-shaped value, or when NaN/Inf reaches the separator or the
 projection.
 
-The engine computes only what the iteration needs. The identities that
-verify it (update equations, gradient norm, error admissibility) are
+Operator outputs are checked once, where they enter the iteration. The
+forward linesearch calls an operator's callable itself, on read-only
+arrays, and checks the shape of each output. It reads finiteness off dot
+products it forms anyway: <drift, drift> at G z and the slope
+<theta - x~, T(x~) - w> in a trial. A NaN/Inf entry makes them non-finite,
+and only then are the entries checked one by one. Resolvent outputs are
+checked by :func:`~projsplit.operators.prox_eval`, and the projection
+checks the new iterate.
+
+The engine computes only what the iteration needs. A block's residuals come
+from arrays its update formed, and the iteration applies no identity map
+(``matrix`` None): G z is z and G* y is y. The identities that verify the
+iteration (update equations, gradient norm, error admissibility) are
 checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
 :class:`BlockState` keeps and from :attr:`Engine.separator`.
 
@@ -63,11 +74,11 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import (AssumptionViolationError, BacktrackLimitError, ConfigError, NonFiniteError,
-                     ShapeError, checked_integer, checked_real)
-# derived_wn, gamma_norm, error_inequality_gaps: unused here, but perfbench/tracing.py
-# wraps them here
-from .linalg import (PrimalDualPoint, Vec, all_finite, derived_wn, dual_sum,  # noqa: F401
+from .errors import (AssumptionViolationError, BacktrackLimitError, CapabilityError, ConfigError,
+                     NonFiniteError, ShapeError, checked_integer, checked_real)
+# derived_wn, gamma_norm, error_inequality_gaps, forward_eval: unused here, but
+# perfbench/tracing.py wraps them here
+from .linalg import (PrimalDualPoint, Vec, checked_entries, derived_wn, dual_sum,  # noqa: F401
                      gamma_norm)
 from .operators import ErrorPolicy, error_inequality_gaps, forward_eval, inject_error  # noqa: F401
 from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
@@ -144,10 +155,11 @@ class BlockState(NamedTuple):
 
     ``theta`` = G z and ``w`` are the (possibly stale) iterate values the
     update read. A forward update also keeps ``drift`` = T(theta) - w, a
-    backward update the accepted prox-input error ``error``. The engine
-    reads ``theta`` only as G z for a primal residual; the invariant
-    monitor verifies the update equations from all four. Initial states
-    leave them None.
+    backward update the accepted prox-input error ``error``. The invariant
+    monitor verifies the update equations from all four. ``residuals`` is
+    the pair (||theta - x||, ||y - w||), formed from the arrays the update
+    computed anyway; the engine records it when the update read the current
+    iterate. Initial states leave these fields None.
     """
 
     x: np.ndarray
@@ -158,6 +170,7 @@ class BlockState(NamedTuple):
     w: np.ndarray | None = None
     drift: np.ndarray | None = None
     error: np.ndarray | None = None
+    residuals: tuple[float, float] | None = None
 
 
 class SeparatorEval(NamedTuple):
@@ -231,9 +244,17 @@ def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.nda
                     rho: float, error_policy: ErrorPolicy,
                     rng: np.random.Generator | None) -> BlockState:
     """Resolvent step at input G z + rho*w + e with an admissible error e drawn from ``rng``."""
-    gz = slot.map.apply(z_delayed)
-    e, res = inject_error(error_policy, rng, gz + rho * w_delayed, slot.op, rho, gz, w_delayed)
-    return BlockState(res.x, res.y, rho, 0, gz, w_delayed, None, e)
+    g = slot.map
+    gz = z_delayed if g.matrix is None else g.apply(z_delayed)
+    base = gz + rho * w_delayed
+    base.setflags(write=False)
+    e, (x, y) = inject_error(error_policy, rng, base, slot.op, rho, gz, w_delayed)
+    r, s = gz - x, y - w_delayed
+    return BlockState(x, y, rho, 0, gz, w_delayed, None, e,
+                      (math.sqrt(r.dot(r)), math.sqrt(s.dot(s))))
+
+
+_FLOAT = np.dtype(float)
 
 
 def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
@@ -250,15 +271,39 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     guaranteed whenever the operator really is continuous. A NaN/Inf
     T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
     wrong-shaped T(G z) or T(x~) a :class:`~projsplit.errors.ShapeError`.
+
+    ``z_delayed`` and ``w_delayed`` must be read-only, as the engine's
+    iterate arrays are: the operator receives G z itself and each trial
+    point made read-only, with no view per call. An output that is not a
+    float64 vector of the block's dimension goes through
+    :func:`~projsplit.linalg.checked_entries`, which converts it or raises.
+    The finiteness of a float64 vector output is read off the dot products
+    the search forms anyway, <drift, drift> at G z and the slope
+    <theta - x~, T(x~) - w> in a trial: a NaN/Inf entry makes them
+    non-finite, and only then are the entries checked one by one. The
+    returned state carries the block's residuals, from the accepted
+    theta - x~ and T(x~) - w, or 0 and ||drift|| after a quickstop.
     """
-    op = slot.op
-    theta = slot.map.apply(z_delayed)
-    zeta = forward_eval(op, theta)
+    op, g = slot.op, slot.map
+    fwd, dim = op._forward, op.dim
+    if fwd is None:
+        raise CapabilityError(f"operator '{op.name}' is not forward-evaluable")
+    shape = (dim,)
+    if g.matrix is None:
+        theta = z_delayed
+    else:
+        theta = g.apply(z_delayed)
+        theta.setflags(write=False)
+    zeta = fwd(theta)
+    if zeta.__class__ is not np.ndarray or zeta.shape != shape or zeta.dtype is not _FLOAT:
+        zeta = checked_entries(dim, zeta)
     drift = zeta - w_delayed
     # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
-    if (math.sqrt(drift.dot(drift))
-            <= config.quickstop_eps * (1.0 + math.sqrt(w_delayed.dot(w_delayed)))):
-        return BlockState(theta, zeta, rho_init, 0, theta, w_delayed, drift)
+    norm = math.sqrt(drift.dot(drift))
+    if not norm < math.inf and not np.isfinite(zeta).all():
+        raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
+    if norm <= config.quickstop_eps * (1.0 + math.sqrt(w_delayed.dot(w_delayed))):
+        return BlockState(theta, zeta, rho_init, 0, theta, w_delayed, drift, None, (0.0, norm))
     delta, nu, budget = config.delta, config.nu, config.max_backtracks
     rho = rho_init
     count = 0
@@ -269,14 +314,25 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
                 f"linesearch exceeded {budget} trials "
                 "(the operator may violate the continuity assumption)")
         x_try = theta - rho * drift
-        try:
-            y_try = forward_eval(op, x_try)
-        except NonFiniteError:
-            pass  # under continuity, NaN/Inf at x~ only means the step was too long
-        else:
-            gap = theta - x_try
-            if delta * gap.dot(gap) - gap.dot(y_try - w_delayed) <= 0.0:
-                return BlockState(x_try, y_try, rho, count, theta, w_delayed, drift)
+        x_try.setflags(write=False)
+        y_try = fwd(x_try)
+        if y_try.__class__ is not np.ndarray or y_try.shape != shape or y_try.dtype is not _FLOAT:
+            try:
+                y_try = checked_entries(dim, y_try)
+            except NonFiniteError:
+                # under continuity, NaN/Inf at x~ only means the step was too long
+                rho = nu * rho
+                continue
+        gap = theta - x_try
+        gap_sq = gap.dot(gap)
+        mismatch = y_try - w_delayed
+        slope = gap.dot(mismatch)
+        # a slope test passed with a non-finite slope may hide a NaN/Inf T(x~),
+        # which fails the trial as above
+        if (delta * gap_sq - slope <= 0.0
+                and (math.isfinite(slope) or np.isfinite(y_try).all())):
+            return BlockState(x_try, y_try, rho, count, theta, w_delayed, drift, None,
+                              (math.sqrt(gap_sq), math.sqrt(mismatch.dot(mismatch))))
         rho = nu * rho
 
 
@@ -306,10 +362,14 @@ def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> Sepa
     uu = 0.0
     for i in range(len(blocks) - 1):
         b, g = blocks[i], maps[i]
-        ui = b.x - g.apply(x_n)
+        if g.matrix is None:  # the identity
+            ui = b.x - x_n
+            v = v + b.y
+        else:
+            ui = b.x - g.apply(x_n)
+            v = v + g.apply_adjoint(b.y)
         u.append(ui)
         uu += ui.dot(ui)
-        v = v + g.apply_adjoint(b.y)
     v = v + last.y
     pi = float(uu + v.dot(v) / gamma)
     phi = float(z.dot(v))
@@ -348,7 +408,8 @@ def project(p, sep: SeparatorEval, gamma: float):
     for i in range(len(w)):
         arrays.append(w[i] - alpha * u[i])
     for arr in arrays:
-        if not all_finite(arr):
+        # <x, x> is finite only if every entry is (see linalg.all_finite)
+        if not (math.isfinite(arr.dot(arr)) or np.isfinite(arr).all()):
             raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
         arr.setflags(write=False)
     return arrays[0], tuple(arrays[1:])
@@ -487,14 +548,20 @@ class Engine:
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
 
         # residuals ||G_i z - x_i|| and ||y_i - w_i||; a block updated from
-        # iterate k already holds G_i z as its theta
+        # iterate k formed them in its update
         primal, dual, backtracks, stepsizes = [], [], [], []
         for i in range(n):
             b = blocks[i]
-            r = (b.theta if i in fresh else slots[i].map.apply(z)) - b.x
-            primal.append(math.sqrt(r.dot(r)))
-            r = b.y - (w[i] if i < last else wn)
-            dual.append(math.sqrt(r.dot(r)))
+            if i in fresh:
+                r_primal, r_dual = b.residuals
+            else:
+                g = slots[i].map
+                r = (z if g.matrix is None else g.apply(z)) - b.x
+                r_primal = math.sqrt(r.dot(r))
+                r = b.y - (w[i] if i < last else wn)
+                r_dual = math.sqrt(r.dot(r))
+            primal.append(r_primal)
+            dual.append(r_dual)
             backtracks.append(b.backtracks if i in selected else 0)
             stepsizes.append(b.rho)
         max_primal, max_dual = max(primal), max(dual)

@@ -178,7 +178,8 @@ def dual_sum(w, maps, dim: int) -> np.ndarray:
     """:func:`derived_wn` for the dual blocks ``w`` as arrays: -sum_i G_i* w_i in R^dim."""
     out = np.zeros(dim)
     for i in range(len(maps)):
-        out = out - maps[i].apply_adjoint(w[i])
+        g = maps[i]
+        out = out - (w[i] if g.matrix is None else g.apply_adjoint(w[i]))
     return out
 
 

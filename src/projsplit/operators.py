@@ -7,9 +7,12 @@ The solver branches on this declaration, so asking for a missing capability
 is a contract error rather than a silent fallback.
 
 Operators exchange float64 arrays. :func:`forward_eval` and :func:`prox_eval`
-hand a callable a read-only view of its argument and pass its output through
-:func:`~projsplit.linalg.checked_entries`, so a wrong shape or NaN/Inf raises
-:class:`~projsplit.errors.ShapeError` where it enters the solver.
+hand a callable its argument read-only (a read-only view of a writable one)
+and pass its output through :func:`~projsplit.linalg.checked_entries`, so a
+wrong shape or NaN/Inf raises :class:`~projsplit.errors.ShapeError` where it
+enters the solver. The engine's forward linesearch calls forward callables
+itself and checks their outputs within its own arithmetic (see
+:func:`projsplit.engine.forward_update_with_backtrack`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class MonotoneOperator:
         The dimension of the space the operator acts on, a positive integer
         (:class:`~projsplit.errors.ShapeError` otherwise).
     forward : callable(ndarray) -> ndarray, optional
-        Single-valued evaluation x -> T(x).
+        Single-valued evaluation x -> T(x). The solver may keep the returned
+        array without copying it, so each call returns a new array (or x)
+        that the callable does not write into afterwards.
     prox : callable(ndarray, float) -> ndarray, optional
         Resolvent evaluation (a, rho) -> (I + rho*T)^{-1}(a).
     name : str
@@ -74,10 +79,13 @@ class ProxResult(NamedTuple):
 
 
 def _argument(op: MonotoneOperator, x: np.ndarray) -> np.ndarray:
-    """A read-only view of x for op's callables, after checking its shape."""
+    """x for op's callables, after checking its shape: x itself when it is
+    read-only (the engine's arguments are), else a read-only view of it."""
     if x.shape != (op.dim,):
         raise ShapeError(f"operator '{op.name}' acts on dim {op.dim}, "
                          f"got shape {x.shape}")
+    if not x.flags.writeable:
+        return x
     view = x.view()
     view.setflags(write=False)
     return view
@@ -178,11 +186,17 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
         return zero, prox_eval(op, rho, base_input)
     e = policy.magnitude * direction / nrm
 
+    sigma = policy.sigma
     for _ in range(_MAX_HALVINGS):
-        result = prox_eval(op, rho, base_input + e)
-        g1, g2 = error_inequality_gaps(e, result, z_block, w_block, rho, policy.sigma)
-        if g1 >= 0.0 and g2 >= 0.0:
-            return e, result
+        a = base_input + e
+        a.setflags(write=False)
+        result = prox_eval(op, rho, a)
+        # error_inequality_gaps, with the second gap formed only when the first holds
+        gz_minus_x = z_block - result.x
+        if gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x) >= 0.0:
+            y_minus_w = result.y - w_block
+            if rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w) >= 0.0:
+                return e, result
         e = 0.5 * e
 
     return zero, prox_eval(op, rho, base_input)

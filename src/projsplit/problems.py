@@ -554,14 +554,21 @@ def build(kind: str, params: Mapping | None = None) -> tuple[ProblemSpec, Refere
     """Construct a registered instance from configuration parameters.
 
     The optional ``forward_blocks`` parameter (1-based block indices)
-    overrides the default forward/backward partition.
+    overrides the default forward/backward partition. A
+    :class:`~projsplit.errors.ShapeError` (a NaN/Inf included) met while
+    building, such as an oracle that overflows at extreme parameters, is a
+    :class:`~projsplit.errors.ConfigError` naming the problem.
     """
     if kind not in PROBLEMS:
         raise ConfigError(f"unknown problem kind {kind!r}; known: {sorted(PROBLEMS)}")
     params = dict(params or {})
     partition = params.pop("forward_blocks", None)
     builder, _ = PROBLEMS[kind]
-    spec, ref = builder(params)
+    try:
+        spec, ref = builder(params)
+    except ShapeError as exc:
+        raise ConfigError(f"problem '{kind}' cannot be built from these parameters: "
+                          f"{exc}") from exc
     if params:
         raise ConfigError(f"unknown parameter(s) for problem '{kind}': {sorted(params)}")
     if partition is not None:

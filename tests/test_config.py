@@ -21,7 +21,6 @@ def test_minimal_config_applies_documented_defaults():
     assert cfg.schedule.M is None  # resolves to the block count at run time
     assert cfg.schedule.D == 0
     assert cfg.seed == 0
-    assert cfg.trace_filename == "trace.csv"
 
 
 def test_section_seeds_derive_from_top_seed():
@@ -59,6 +58,23 @@ def test_unknown_keys_are_rejected_by_name():
             parse_config('{"problem": {"kind": "lasso"}, "engine": {"%s": 1.0}}' % key)
     with pytest.raises(ConfigError, match="_rng"):
         parse_config('{"problem": {"kind": "lasso"}, "errors": {"_rng": null}}')
+    # trace.csv and summary.json always go to the run's --out directory
+    with pytest.raises(ConfigError, match="output"):
+        parse_config('{"problem": {"kind": "lasso"}, "output": {"trace": "../escape.csv"}}')
+
+
+@pytest.mark.parametrize("section", ["problem", "engine", "schedule", "errors"])
+@pytest.mark.parametrize("value", ['"x"', "[1]", "3", "null", "true"])
+def test_every_section_must_be_an_object(section, value):
+    doc = '{"problem": {"kind": "lasso"}, "%s": %s}' % (section, value)
+    with pytest.raises(ConfigError, match=section):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("kind", ['["lasso"]', '{"lasso": 1}', "1", "null"])
+def test_problem_kind_must_be_a_string(kind):
+    with pytest.raises(ConfigError, match="kind"):
+        parse_config('{"problem": {"kind": %s}}' % kind)
 
 
 def test_config_requires_problem_kind():
@@ -81,8 +97,7 @@ def test_roundtrip_rich_config():
       "schedule": {"kind": "seeded-random", "p_select": 0.4, "M": 6, "D": 2,
                    "delay_kind": "seeded-random"},
       "errors": {"sigma": 0.25, "mode": "seeded-random", "magnitude": 0.01},
-      "seed": 42,
-      "output": {"trace": "t.csv", "summary": "s.json"}
+      "seed": 42
     }"""
     cfg = parse_config(doc)
     assert cfg.engine.rho_init == (0.5, 2.0)
@@ -94,7 +109,7 @@ def test_roundtrip_rich_config():
         SchedulePolicy(kind="seeded-random", p_select=0.4, M=6, D=2,
                        delay_kind="seeded-random", seed=42),
         ErrorPolicy(sigma=0.25, mode="seeded-random", magnitude=0.01, seed=43),
-        seed=42, trace_filename="t.csv", summary_filename="s.json")
+        seed=42)
 
 
 def test_overrides_rederive_seeds():

@@ -274,6 +274,14 @@ def test_signed_sqrt_dimension_follows_a_list_of_c():
     assert kkt_residual(spec, ref.z, ref.w) <= ref.accuracy
 
 
+@pytest.mark.parametrize("c", [[1e308, -1e308], 1e308])
+def test_a_build_that_overflows_is_a_config_error_naming_the_problem(c):
+    # the bisection oracle overflows to a non-finite root
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConfigError, match="problem 'signed_sqrt'.*finite"):
+        build("signed_sqrt", {"c": c})
+
+
 def test_partition_override_requires_capability():
     with pytest.raises(ConfigError):
         build("box_cubic", {"forward_blocks": [2]})  # the box block has no forward map

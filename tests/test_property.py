@@ -8,6 +8,7 @@ with ``error:``.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projsplit import ConfigError, build, cli, parse_config, run
+from projsplit import (ConfigError, EngineConfig, ErrorPolicy, SchedulePolicy, build, cli,
+                       parse_config, run)
 
 STATUS_EXIT = {"converged": 0, "exact-termination": 0, "budget": 2, "assumption-violation": 3}
 
@@ -169,3 +171,44 @@ def test_invalid_config_fields_are_config_errors(drawn):
     assert code == 1
     assert err.getvalue().startswith("error: ")
     assert re.search(rf"\b{name}\b", err.getvalue())
+
+
+# JSON values of every type, small enough that no draw allocates much: a
+# size or count is at most 50, and a list or object at most 5 items
+FLOAT_VALUES = [0.0, -1.0, 0.5, 2.0, 50.0, 1e308, -1e308, INF, -INF, NAN]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.sampled_from(FLOAT_VALUES)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=5),
+    max_leaves=10)
+SECTION_FIELDS = {"engine": EngineConfig, "schedule": SchedulePolicy, "errors": ErrorPolicy}
+
+
+@st.composite
+def configs_with_one_json_value(draw):
+    """A valid configuration with one section, or one key of a section, set to a JSON value."""
+    kind = draw(st.sampled_from(sorted(PARAMETERS)))
+    doc = {"problem": {"kind": kind}, "engine": {"max_iters": 5},
+           "schedule": dict(draw(SCHEDULES)), "errors": dict(draw(ERRORS)), "seed": 0}
+    places = [(None, name) for name in doc]
+    places += [("problem", key) for key in ("kind", "forward_blocks", *PARAMETERS[kind])]
+    places += [(section, f.name) for section, cls in SECTION_FIELDS.items()
+               for f in dataclasses.fields(cls)]
+    section, key = draw(st.sampled_from(places))
+    (doc if section is None else doc[section])[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=configs_with_one_json_value())
+def test_any_json_value_anywhere_ends_in_an_exit_code(doc):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--config", str(path), "--out", tmp])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()
