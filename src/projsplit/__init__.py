@@ -8,18 +8,15 @@ knowledge. Block selection and iterate staleness are simulated
 deterministically from seeds.
 """
 
-from .checks import InvariantMonitor, affine_value, audit_schedule, run_with_checks
+from .checks import InvariantMonitor, audit_schedule, run_with_checks
 from .config import parse_config
-from .engine import (Engine, EngineConfig, OperatorSlot, backward_update, evaluate_separator,
-                     forward_update_with_backtrack, project, run)
+from .engine import Engine, EngineConfig, run
 from .errors import BacktrackLimitError, CapabilityError, ConfigError, ShapeError
-from .linalg import LinearMap, PrimalDualPoint, Vec, derived_wn, gamma_norm, point_diff
-from .operators import (ErrorPolicy, MonotoneOperator, affine_monotone, box_normal_cone, cube,
-                        error_inequality_gaps, forward_eval, gradient_quadratic, inject_error,
-                        l1_subdifferential, prox_eval, shifted_identity, signed_sqrt,
-                        zero_op)
+from .linalg import LinearMap, PrimalDualPoint, Vec
+from .operators import (ErrorPolicy, MonotoneOperator, affine_monotone, box_normal_cone,
+                        forward_eval, l1_subdifferential, prox_eval, shifted_identity, zero_op)
 from .problems import (ProblemSpec, build, kkt_residual, make_box_cubic, make_lasso,
                        make_signed_sqrt, make_skew_composed)
-from .scheduler import HistoryBuffer, SchedulePolicy, delayed_index, select_blocks
+from .scheduler import SchedulePolicy
 
 __version__ = "0.1.0"

@@ -107,8 +107,6 @@ def parse_config(text: str) -> RunConfig:
     seed = checked_integer("seed", data.get("seed", 0), lo=0)
 
     engine_section = _section(data, "engine", _ENGINE_FIELDS)
-    if isinstance(engine_section.get("rho_init"), list):
-        engine_section["rho_init"] = tuple(engine_section["rho_init"])
     schedule_section = _section(data, "schedule", _SCHEDULE_FIELDS)
     schedule_section.setdefault("seed", seed)
     errors_section = _section(data, "errors", _ERROR_FIELDS)

@@ -92,12 +92,13 @@ class EngineConfig:
     (0, 2) is the projection overrelaxation, the same at every iteration.
     nu in (0,1) is the linesearch shrink factor and delta > 0 its
     acceptance threshold. rho_init (scalar or per-block, each finite and
-    positive) is a backward block's prox stepsize. For a forward block it caps
-    every linesearch trial: the search starts at min(rho_init,
-    rho_prev/nu), where rho_prev is the block's last accepted stepsize
-    (rho_init before its first update). Real fields must be finite numbers
-    and max_backtracks/max_iters integers (booleans rejected); a bad field
-    is a :class:`~projsplit.errors.ConfigError` naming it. The constants
+    positive, kept as a float or a tuple of floats) is a backward block's
+    prox stepsize. For a forward block it caps every linesearch trial: the
+    search starts at min(rho_init, rho_prev/nu), where rho_prev is the
+    block's last accepted stepsize (rho_init before its first update).
+    Real fields must be finite numbers and max_backtracks/max_iters
+    integers (booleans rejected); a bad field is a
+    :class:`~projsplit.errors.ConfigError` naming it. The constants
     quickstop_eps (the linesearch's relative immediate-accept tolerance) and
     pi_zero_eps (below which pi counts as exactly zero) are float-noise
     thresholds, not parameters.
@@ -126,17 +127,21 @@ class EngineConfig:
         checked_integer("max_backtracks", self.max_backtracks)
         checked_integer("max_iters", self.max_iters, lo=0)
         rho = self.rho_init
-        for r in rho if isinstance(rho, (tuple, list, np.ndarray)) else (rho,):
-            checked_real("rho_init", r, positive=True)
+        if isinstance(rho, (tuple, list, np.ndarray)):
+            rho = tuple(checked_real("rho_init", r, positive=True) for r in rho)
+        else:
+            rho = checked_real("rho_init", rho, positive=True)
+        if type(self.rho_init) is not float:
+            object.__setattr__(self, "rho_init", rho)
 
     def resolve_rho(self, n: int) -> tuple[float, ...]:
         """One stepsize per block; a per-block rho_init must have n entries."""
-        rho = np.atleast_1d(np.asarray(self.rho_init, dtype=float))
-        if rho.shape[0] == 1:
-            return tuple(float(rho[0]) for _ in range(n))
-        if rho.shape[0] != n:
-            raise ConfigError(f"rho_init must be scalar or length {n}, got length {rho.shape[0]}")
-        return tuple(float(r) for r in rho)
+        rho = self.rho_init if type(self.rho_init) is tuple else (self.rho_init,)
+        if len(rho) == 1:
+            return rho * n
+        if len(rho) != n:
+            raise ConfigError(f"rho_init must be scalar or length {n}, got length {len(rho)}")
+        return rho
 
 
 @dataclass(frozen=True)

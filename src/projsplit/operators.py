@@ -233,26 +233,17 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
     def fwd(x):
         return m @ x + b
 
-    return MonotoneOperator(m.shape[0], forward=fwd, prox=_linear_resolvent(m, -b),
-                            name="affine")
-
-
-def _linear_resolvent(m: np.ndarray, c: np.ndarray):
-    """The resolvent (a, rho) -> (I + rho*m)^{-1}(a + rho*c) of T(x) = m x - c, for monotone m.
-
-    It keeps (I + rho*m)^{-1} and rho*c for the last rho it was called with.
-    """
     eye = np.eye(m.shape[0])
-    cached = (None, None, None)  # (rho, inverse, rho*c), replaced as one tuple
+    cached = (None, None, None)  # (rho, inverse, -rho*b), replaced as one tuple
 
     def prox(a, rho):
         nonlocal cached
         state = cached
         if state[0] != rho:
-            state = cached = (rho, np.linalg.inv(eye + rho * m), rho * c)
+            state = cached = (rho, np.linalg.inv(eye + rho * m), -rho * b)
         return state[1] @ (a + state[2])
 
-    return prox
+    return MonotoneOperator(m.shape[0], forward=fwd, prox=prox, name="affine")
 
 
 def shifted_identity(shift) -> MonotoneOperator:
@@ -269,27 +260,6 @@ def shifted_identity(shift) -> MonotoneOperator:
         return (a - rho * b) / (1.0 + rho)
 
     return MonotoneOperator(b.shape[0], forward=fwd, prox=prox, name="shifted-identity")
-
-
-def gradient_quadratic(design, target) -> MonotoneOperator:
-    """Gradient of the least-squares loss 0.5*||A x - b||^2: T(x) = A^T(A x - b).
-
-    The resolvent x = (I + rho*A^T A)^{-1}(v + rho*A^T b) keeps the explicit
-    inverse and rho*A^T b for the last rho, as :func:`affine_monotone` does;
-    A^T A is positive semidefinite, so the inverse has norm <= 1 and
-    cond(I + rho*A^T A) <= 1 + rho*||A||^2.
-    """
-    a_mat = np.asarray(design, dtype=float)
-    b = np.asarray(target, dtype=float).reshape(-1)
-    if a_mat.ndim != 2 or a_mat.shape[0] != b.shape[0]:
-        raise ShapeError("design/target shapes are inconsistent")
-
-    def fwd(x):
-        return a_mat.T @ (a_mat @ x - b)
-
-    return MonotoneOperator(a_mat.shape[1], forward=fwd,
-                            prox=_linear_resolvent(a_mat.T @ a_mat, a_mat.T @ b),
-                            name="grad-quadratic")
 
 
 def l1_subdifferential(lam: float, dim: int) -> MonotoneOperator:
@@ -317,19 +287,6 @@ def box_normal_cone(lower, upper) -> MonotoneOperator:
         return np.clip(a, lo, hi)
 
     return MonotoneOperator(lo.shape[0], prox=prox, name="box-normal-cone")
-
-
-def cube(dim: int) -> MonotoneOperator:
-    """T(x) = x^3 componentwise: continuous and monotone but not Lipschitz."""
-    return MonotoneOperator(dim, forward=lambda x: x ** 3, name="cube")
-
-
-def signed_sqrt(dim: int) -> MonotoneOperator:
-    """T(x) = sign(x)*sqrt(|x|) componentwise: continuous, non-Lipschitz at 0."""
-    def fwd(x):
-        return np.sign(x) * np.sqrt(np.abs(x))
-
-    return MonotoneOperator(dim, forward=fwd, name="signed-sqrt")
 
 
 def zero_op(dim: int) -> MonotoneOperator:

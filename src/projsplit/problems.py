@@ -16,7 +16,7 @@ a three-block problem with dense compositions and a skew forward block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -33,9 +33,10 @@ class ProblemSpec:
 
     The last block always acts on the primal space through the identity.
     ``forward_blocks`` holds the 0-based indices updated by forward steps;
-    all remaining blocks are updated through their resolvents. The spec is
-    validated when built: mismatched maps, operators, initial point or
-    partition raise a :class:`~projsplit.errors.ConfigError`.
+    all remaining blocks are updated through their resolvents; any iterable
+    of indices is stored as a frozenset. The spec is validated when built:
+    mismatched maps, operators, initial point or partition raise a
+    :class:`~projsplit.errors.ConfigError`.
     """
 
     name: str
@@ -44,7 +45,6 @@ class ProblemSpec:
     forward_blocks: frozenset[int]
     z_init: Vec
     w_init: tuple[Vec, ...]
-    params: Mapping = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -76,6 +76,12 @@ class ProblemSpec:
         for i, wi in enumerate(self.w_init):
             if len(wi.entries) != self.operators[i].dim:
                 raise ConfigError(f"initial dual block {i} lives in the wrong space")
+        if type(self.forward_blocks) is not frozenset:
+            try:
+                object.__setattr__(self, "forward_blocks", frozenset(self.forward_blocks))
+            except TypeError:
+                raise ConfigError(f"forward blocks must be an iterable of block indices, "
+                                  f"got {self.forward_blocks!r}") from None
         if not self.forward_blocks <= set(range(n)):
             raise ConfigError(f"forward block indices must lie in 0..{n - 1}")
         for i in range(n):
@@ -88,7 +94,7 @@ class ProblemSpec:
                                   "but is not prox-evaluable")
 
     def with_partition(self, forward_blocks) -> "ProblemSpec":
-        return replace(self, forward_blocks=frozenset(forward_blocks))
+        return replace(self, forward_blocks=forward_blocks)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,6 @@ class ReferenceSolution:
 
     z: Vec
     w: tuple[Vec, ...]
-    provenance: str
     accuracy: float
 
     @property
@@ -354,13 +359,10 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
         forward_blocks=frozenset({0}),
         z_init=Vec(np.zeros(d)),
         w_init=(Vec(np.zeros(m)),),
-        params={"m": m, "d": d, "lam": lam},
     )
     z_star = _lasso_oracle(a_mat, b, lam)
     w1 = a_mat @ z_star - b
-    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),),
-                            provenance="proximal gradient + support polish once the signs settle",
-                            accuracy=1e-8)
+    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),), accuracy=1e-8)
     return spec, _certify(spec, ref)
 
 
@@ -385,12 +387,10 @@ def make_box_cubic(c, lower, upper) -> tuple[ProblemSpec, ReferenceSolution]:
         forward_blocks=frozenset({0}),
         z_init=Vec(np.zeros(dim)),
         w_init=(Vec(np.zeros(dim)),),
-        params={"dim": dim},
     )
     z_star = np.clip(np.cbrt(c), lo, hi)
     w1 = z_star ** 3 - c
-    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),),
-                            provenance="componentwise clamped cube root", accuracy=1e-10)
+    ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),), accuracy=1e-10)
     return spec, _certify(spec, ref)
 
 
@@ -417,7 +417,6 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
         forward_blocks=frozenset({0}),
         z_init=Vec(np.ones(dim)),
         w_init=(Vec(np.zeros(dim)),),
-        params={"dim": dim},
     )
     roots = np.array([
         _bisect_increasing(lambda t, cj=cj: np.sign(t) * np.sqrt(abs(t)) + t - cj,
@@ -425,8 +424,7 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
         for cj in c
     ])
     w1 = drift(roots)
-    ref = ReferenceSolution(z=Vec(roots), w=(Vec(w1),),
-                            provenance="componentwise bisection", accuracy=1e-10)
+    ref = ReferenceSolution(z=Vec(roots), w=(Vec(w1),), accuracy=1e-10)
     return spec, _certify(spec, ref)
 
 
@@ -434,9 +432,8 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
 _SKEW_SEED_TRIES = 8
 
 
-def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
-                       skew_scale: float = 1.0, shift_scale: float = 1.0,
-                       identity_maps: bool = False) -> tuple[ProblemSpec, ReferenceSolution]:
+def make_skew_composed(seed: int, dims=(8, 6, 10),
+                       lam: float = 1.0) -> tuple[ProblemSpec, ReferenceSolution]:
     """Three blocks with dense compositions and a skew forward block.
 
     T1(u) = K u + c1 with K skew (forward, composed through a dense G1),
@@ -446,17 +443,15 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
     ``_SKEW_SEED_TRIES`` seeds in all.
     """
     d0, d1, d2 = dims
-    if identity_maps and not (d0 == d1 == d2):
-        raise ConfigError("identity maps require equal dimensions")
     last_err = None
     for attempt in range(_SKEW_SEED_TRIES):
         use_seed = seed + attempt
         rng = np.random.default_rng([use_seed, 613])
-        g1 = np.eye(d0) if identity_maps else rng.standard_normal((d1, d0)) / np.sqrt(d0)
-        g2 = np.eye(d0) if identity_maps else rng.standard_normal((d2, d0)) / np.sqrt(d0)
+        g1 = rng.standard_normal((d1, d0)) / np.sqrt(d0)
+        g2 = rng.standard_normal((d2, d0)) / np.sqrt(d0)
         raw = rng.standard_normal((d1, d1)) / np.sqrt(d1)
-        skew = skew_scale * (raw - raw.T)
-        c1 = shift_scale * rng.standard_normal(d1)
+        skew = raw - raw.T
+        c1 = rng.standard_normal(d1)
         root = rng.standard_normal((d0, d0)) / np.sqrt(d0)
         pd_mat = root.T @ root + np.eye(d0)
         q = rng.standard_normal(d0)
@@ -473,11 +468,8 @@ def make_skew_composed(seed: int, dims=(8, 6, 10), lam: float = 1.0, *,
             forward_blocks=frozenset({0}),
             z_init=Vec(np.zeros(d0)),
             w_init=(Vec(np.zeros(d1)), Vec(np.zeros(d2))),
-            params={"seed": use_seed, "dims": tuple(dims), "lam": lam},
-        )
-        ref = ReferenceSolution(z=Vec(z), w=(Vec(w1), Vec(w2)),
-                                provenance="smoothed Newton + active-set polish",
-                                accuracy=1e-8)
+            )
+        ref = ReferenceSolution(z=Vec(z), w=(Vec(w1), Vec(w2)), accuracy=1e-8)
         return spec, _certify(spec, ref)
     raise ConfigError(f"no well-posed instance within {_SKEW_SEED_TRIES} seeds "
                       f"starting at {seed}: {last_err}")
@@ -554,9 +546,10 @@ def build(kind: str, params: Mapping | None = None) -> tuple[ProblemSpec, Refere
     """Construct a registered instance from configuration parameters.
 
     The optional ``forward_blocks`` parameter (1-based block indices)
-    overrides the default forward/backward partition. A
-    :class:`~projsplit.errors.ShapeError` (a NaN/Inf included) met while
-    building, such as an oracle that overflows at extreme parameters, is a
+    overrides the default forward/backward partition. Any other
+    ``ValueError`` (a :class:`~projsplit.errors.ShapeError` or NaN/Inf
+    included) or ``MemoryError`` met while building, such as an oracle that
+    overflows or an array too large to allocate at extreme parameters, is a
     :class:`~projsplit.errors.ConfigError` naming the problem.
     """
     if kind not in PROBLEMS:
@@ -566,9 +559,11 @@ def build(kind: str, params: Mapping | None = None) -> tuple[ProblemSpec, Refere
     builder, _ = PROBLEMS[kind]
     try:
         spec, ref = builder(params)
-    except ShapeError as exc:
+    except ConfigError:
+        raise
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"problem '{kind}' cannot be built from these parameters: "
-                          f"{exc}") from exc
+                          f"{str(exc) or type(exc).__name__}") from exc
     if params:
         raise ConfigError(f"unknown parameter(s) for problem '{kind}': {sorted(params)}")
     if partition is not None:

@@ -186,6 +186,21 @@ def test_bad_problem_parameter_exits_1(tmp_path, capsys, problem):
         assert capsys.readouterr().err.startswith("error: problem parameter ")
 
 
+def test_a_problem_too_large_to_build_exits_1(tmp_path, capsys, monkeypatch):
+    # these escaped cli.main as ValueError and MemoryError tracebacks
+    def exhausted(params):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setitem(problems.PROBLEMS, "exhausted", (exhausted, ""))
+    for problem in ({"kind": "lasso", "m": 2 ** 40, "d": 2 ** 40}, {"kind": "exhausted"}):
+        cfg = write_config(tmp_path, {"problem": problem})
+        for command in (["run", "--config", cfg, "--out", str(tmp_path / "o")],
+                        ["verify", "--config", cfg]):
+            assert cli.main(command) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: problem '{problem['kind']}' cannot be built from these parameters: ")
+
+
 BOX_ASYNC = {"problem": {"kind": "box_cubic"}, "engine": {"max_iters": 50},
              "schedule": {"kind": "seeded-random", "delay_kind": "seeded-random", "D": 2}}
 # (section or None for the top level, field, value); each escaped cli.main as a

@@ -7,15 +7,14 @@ import pytest
 
 import projsplit.engine
 from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, ErrorPolicy,
-                       LinearMap, MonotoneOperator, OperatorSlot, ProblemSpec,
-                       SchedulePolicy, Vec, affine_monotone, affine_value,
-                       backward_update, box_normal_cone, build, cube, evaluate_separator,
-                       forward_update_with_backtrack, kkt_residual, l1_subdifferential,
-                       make_signed_sqrt, make_skew_composed, project, run, run_with_checks,
-                       zero_op)
+                       LinearMap, MonotoneOperator, ProblemSpec, SchedulePolicy, Vec,
+                       affine_monotone, box_normal_cone, build, kkt_residual,
+                       l1_subdifferential, make_signed_sqrt, make_skew_composed, run,
+                       run_with_checks, zero_op)
 from projsplit.errors import AssumptionViolationError, NonFiniteError
-from projsplit.checks import update_gap
-from projsplit.engine import BlockState
+from projsplit.checks import affine_value, update_gap
+from projsplit.engine import (BlockState, OperatorSlot, backward_update, evaluate_separator,
+                              forward_update_with_backtrack, project)
 
 
 def vec(*entries):
@@ -79,6 +78,23 @@ def test_config_per_block_stepsizes():
     spec, _ = build("skew_composed", {})
     with pytest.raises(ConfigError, match="rho_init"):
         Engine(spec, cfg)
+
+
+@pytest.mark.parametrize("rho", [[1.0, 2.0], (1, 2), np.array([1.0, 2.0])],
+                         ids=["list", "int-tuple", "array"])
+def test_config_keeps_a_per_block_rho_init_as_a_tuple_of_floats(rho):
+    # a list or array kept as given made equal configs unequal (or raise) and unhashable
+    cfg = EngineConfig(rho_init=rho)
+    assert type(cfg.rho_init) is tuple and [type(r) for r in cfg.rho_init] == [float, float]
+    assert cfg == EngineConfig(rho_init=(1.0, 2.0)) == EngineConfig(rho_init=rho)
+    assert hash(cfg) == hash(EngineConfig(rho_init=(1.0, 2.0)))
+
+
+def test_config_keeps_a_scalar_rho_init_as_a_float():
+    for rho in (2, np.float64(2.0), np.int64(2)):
+        cfg = EngineConfig(rho_init=rho)
+        assert type(cfg.rho_init) is float and cfg.rho_init == 2.0
+        assert cfg == EngineConfig(rho_init=2.0) and hash(cfg) == hash(EngineConfig(rho_init=2.0))
 
 
 def test_float_noise_thresholds_are_not_fields():
@@ -348,10 +364,11 @@ def overflow_problem():
 
 
 def cube_overflow_problem():
-    """cube(2) from z = (1e40, 1e40): T(z) = 1e120 is finite, but the first
+    """x**3 on R^2 from z = (1e40, 1e40): T(z) = 1e120 is finite, but the first
     ~60 trial outputs overflow, and the search needs 267 trials in all."""
+    cube = MonotoneOperator(2, forward=lambda x: x ** 3, name="cube")
     return ProblemSpec(name="cube-overflow", maps=(LinearMap.identity(2),),
-                       operators=(cube(2), zero_op(2)), forward_blocks=frozenset({0}),
+                       operators=(cube, zero_op(2)), forward_blocks=frozenset({0}),
                        z_init=vec(1e40, 1e40), w_init=(vec(0.0, 0.0),))
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from projsplit import (ConfigError, LinearMap, MonotoneOperator, PrimalDualPoint, ShapeError,
-                       Vec, derived_wn, gamma_norm, point_diff)
-from projsplit.linalg import weighted_norm
+                       Vec)
+from projsplit.linalg import derived_wn, gamma_norm, point_diff, weighted_norm
 
 
 def vec(*entries):

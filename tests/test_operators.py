@@ -6,28 +6,30 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from projsplit import (CapabilityError, ConfigError, ErrorPolicy, MonotoneOperator, ShapeError,
-                       affine_monotone, box_normal_cone, cube, error_inequality_gaps,
-                       forward_eval, gradient_quadratic, inject_error, l1_subdifferential,
-                       prox_eval, shifted_identity, signed_sqrt, zero_op)
+                       affine_monotone, box_normal_cone, forward_eval, l1_subdifferential,
+                       prox_eval, shifted_identity, zero_op)
 from projsplit.errors import NonFiniteError
+from projsplit.operators import error_inequality_gaps, inject_error
 
 
 def vec(*entries):
     return np.array(entries, dtype=float)
 
 
+def cube(dim):
+    """x**3 componentwise: continuous and monotone, not Lipschitz, forward only."""
+    return MonotoneOperator(dim, forward=lambda x: x ** 3, name="cube")
+
+
+def least_squares_gradient(a_mat, target):
+    """T(x) = A^T A x - A^T b, the gradient of 0.5*||A x - b||^2, as an affine operator."""
+    return affine_monotone(a_mat.T @ a_mat, -a_mat.T @ target)
+
+
 # -- forward evaluation -------------------------------------------------------
-
-def test_forward_cube():
-    assert forward_eval(cube(1), vec(2.0)) == pytest.approx([8.0])
-
 
 def test_forward_zero():
     assert np.linalg.norm(forward_eval(zero_op(3), vec(1.0, -2.0, 7.0))) == 0.0
-
-
-def test_forward_signed_sqrt():
-    assert forward_eval(signed_sqrt(1), vec(-4.0)) == pytest.approx([-2.0])
 
 
 def test_capability_gates():
@@ -127,34 +129,13 @@ def test_affine_non_monotone_rejected():
         affine_monotone([[-1.0]], [0.0])
 
 
-def test_gradient_quadratic_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    a_mat = rng.standard_normal((4, 3))
-    b = rng.standard_normal(4)
-    op = gradient_quadratic(a_mat, b)
-
-    def loss(x):
-        r = a_mat @ x - b
-        return 0.5 * float(r @ r)
-
-    for _ in range(10):
-        x = rng.standard_normal(3)
-        grad = forward_eval(op, x)
-        h = 1e-6
-        fd = np.array([
-            (loss(x + h * e) - loss(x - h * e)) / (2 * h)
-            for e in np.eye(3)
-        ])
-        assert np.linalg.norm(grad - fd) <= 1e-6 * (1.0 + np.linalg.norm(fd))
-
-
 def _prox_library(rng, dim):
     return [
         l1_subdifferential(0.7, dim),
         box_normal_cone(-np.ones(dim), 2 * np.ones(dim)),
         zero_op(dim),
         affine_monotone(np.eye(dim) * 0.5, rng.standard_normal(dim)),
-        gradient_quadratic(rng.standard_normal((dim + 1, dim)), rng.standard_normal(dim + 1)),
+        least_squares_gradient(rng.standard_normal((dim + 1, dim)), rng.standard_normal(dim + 1)),
     ]
 
 
@@ -170,8 +151,8 @@ def test_resolvent_identity(seed, rho):
 
 
 def _dense_resolvents(seed):
-    """An affine operator with a non-symmetric monotone M and a least-squares gradient,
-    each with its T for checking y in T(x)."""
+    """Affine operators with a non-symmetric monotone M and with the symmetric positive
+    semidefinite A^T A of a least-squares gradient, each with its T for checking y in T(x)."""
     rng = np.random.default_rng([seed, 41])
     dim = 5
     raw = rng.standard_normal((dim, dim))
@@ -180,7 +161,7 @@ def _dense_resolvents(seed):
     b = rng.standard_normal(dim)
     a_mat, target = rng.standard_normal((dim + 2, dim)), rng.standard_normal(dim + 2)
     return [(affine_monotone(m, b), lambda x: m @ x + b),
-            (gradient_quadratic(a_mat, target), lambda x: a_mat.T @ (a_mat @ x - target))]
+            (least_squares_gradient(a_mat, target), lambda x: a_mat.T @ (a_mat @ x - target))]
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,9 +222,9 @@ def test_shifted_identity_matches_the_affine_identity():
 def test_monotonicity_sampling():
     rng = np.random.default_rng(17)
     dim = 3
-    forward_ops = [cube(dim), signed_sqrt(dim), zero_op(dim),
+    forward_ops = [cube(dim), zero_op(dim),
                    affine_monotone([[0.0, 2.0, 0], [-2.0, 0, 0], [0, 0, 1.0]], np.zeros(3)),
-                   gradient_quadratic(rng.standard_normal((5, dim)), rng.standard_normal(5))]
+                   least_squares_gradient(rng.standard_normal((5, dim)), rng.standard_normal(5))]
     for op in forward_ops:
         for _ in range(1000):
             x = 5 * rng.standard_normal(dim)

@@ -165,17 +165,17 @@ def test_skew_default_instance_certificate():
 
 
 def test_skew_identity_maps_matches_direct_solve():
-    dims = (6, 6, 6)
-    spec, ref = make_skew_composed(5, dims=dims, identity_maps=True)
-    skew = spec.operators[0]
-    pd = spec.operators[2]
+    # the skew oracle with G1 = G2 = I, on make_skew_composed's draws for seed 5
+    rng = np.random.default_rng([5, 613])
+    raw = rng.standard_normal((6, 6)) / np.sqrt(6)
+    k_mat, c1 = raw - raw.T, rng.standard_normal(6)
+    root = rng.standard_normal((6, 6)) / np.sqrt(6)
+    p_mat, q = root.T @ root + np.eye(6), rng.standard_normal(6)
+    lam = 1.0
+    z_ref, _, _ = problems._skew_oracle(np.eye(6), np.eye(6), k_mat, c1, p_mat, q, lam)
     # direct forward-backward iteration on 0 in (K+P)z + c1 + q + lam*sub||.||_1(z)
-    rng = np.random.default_rng(0)
-    k_mat, c1 = _affine_data(skew, 6)
-    p_mat, q = _affine_data(pd, 6)
     lin = k_mat + p_mat
     shift = c1 + q
-    lam = spec.params["lam"]
     lip = np.linalg.norm(lin, 2)
     t = 0.9 / lip ** 2  # strong monotonicity modulus >= 1 from the PD part
     z = np.zeros(6)
@@ -186,30 +186,24 @@ def test_skew_identity_maps_matches_direct_solve():
             z = z_new
             break
         z = z_new
-    assert np.linalg.norm(z - ref.z.entries) <= 1e-7
-
-
-def _affine_data(op, dim):
-    """Recover (M, b) of an affine operator from evaluations."""
-    from projsplit import forward_eval
-    b = forward_eval(op, np.zeros(dim))
-    cols = []
-    for e in np.eye(dim):
-        cols.append(forward_eval(op, e) - b)
-    return np.array(cols).T, b
+    assert np.linalg.norm(z - z_ref) <= 1e-7
 
 
 def test_skew_zero_drift_reduces_to_convex_problem():
     cvxpy = pytest.importorskip("cvxpy")
-    spec, ref = make_skew_composed(3, dims=(5, 4, 6), skew_scale=0.0, shift_scale=0.0)
-    p_mat, q = _affine_data(spec.operators[2], 5)
-    g2 = spec.maps[1].matrix
-    lam = spec.params["lam"]
+    # the skew oracle with K = 0 and c1 = 0 solves min 0.5 z'Pz + q'z + lam*||G2 z||_1
+    rng = np.random.default_rng([3, 613])
+    g1 = rng.standard_normal((4, 5)) / np.sqrt(5)
+    g2 = rng.standard_normal((6, 5)) / np.sqrt(5)
+    root = rng.standard_normal((5, 5)) / np.sqrt(5)
+    p_mat, q = root.T @ root + np.eye(5), rng.standard_normal(5)
+    lam = 1.0
+    z_ref, _, _ = problems._skew_oracle(g1, g2, np.zeros((4, 4)), np.zeros(4), p_mat, q, lam)
     z = cvxpy.Variable(5)
-    objective = cvxpy.Minimize(0.5 * cvxpy.quad_form(z, 0.5 * (p_mat + p_mat.T))
-                               + q @ z + lam * cvxpy.norm1(g2 @ z))
+    objective = cvxpy.Minimize(0.5 * cvxpy.quad_form(z, p_mat) + q @ z
+                               + lam * cvxpy.norm1(g2 @ z))
     cvxpy.Problem(objective).solve(solver="CLARABEL")
-    assert np.linalg.norm(z.value - ref.z.entries) <= 1e-5
+    assert np.linalg.norm(z.value - z_ref) <= 1e-5
 
 
 def test_engine_agrees_with_every_oracle(builtins):
@@ -280,6 +274,48 @@ def test_a_build_that_overflows_is_a_config_error_naming_the_problem(c):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ConfigError, match="problem 'signed_sqrt'.*finite"):
         build("signed_sqrt", {"c": c})
+
+
+def test_a_build_too_large_for_numpy_is_a_config_error_naming_the_problem():
+    # numpy refuses a 2**40 x 2**40 matrix before it allocates anything
+    with pytest.raises(ConfigError, match="problem 'lasso' cannot be built.*too big"):
+        build("lasso", {"m": 2 ** 40, "d": 2 ** 40})
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 72.8 TiB"), MemoryError()],
+                         ids=["numpy", "bare"])
+def test_running_out_of_memory_while_building_is_a_config_error(monkeypatch, error):
+    def exhausted(params):
+        raise error
+
+    monkeypatch.setitem(problems.PROBLEMS, "exhausted", (exhausted, ""))
+    with pytest.raises(ConfigError, match="problem 'exhausted' cannot be built from these "
+                                          f"parameters: {str(error) or 'MemoryError'}"):
+        build("exhausted", {})
+
+
+def _null_spec(forward_blocks):
+    return ProblemSpec(name="null", maps=(LinearMap.identity(2),),
+                       operators=(zero_op(2), zero_op(2)), forward_blocks=forward_blocks,
+                       z_init=Vec(np.zeros(2)), w_init=(Vec(np.zeros(2)),))
+
+
+@pytest.mark.parametrize("blocks", [[0], {0}, (0,), range(1), frozenset({0})],
+                         ids=["list", "set", "tuple", "range", "frozenset"])
+def test_a_partition_is_kept_as_a_frozenset(blocks):
+    spec = _null_spec(blocks)
+    assert type(spec.forward_blocks) is frozenset and spec.forward_blocks == {0}
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (0, "forward blocks must be an iterable of block indices, got 0"),
+    ([[0]], "forward blocks must be an iterable of block indices"),
+    ([2], "forward block indices must lie in 0..1"),
+    (["0"], "forward block indices must lie in 0..1"),
+], ids=["int", "unhashable", "out-of-range", "string"])
+def test_a_bad_partition_is_a_config_error(blocks, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _null_spec(blocks)
 
 
 def test_partition_override_requires_capability():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from projsplit import (ConfigError, EngineConfig, HistoryBuffer, PrimalDualPoint,
-                       SchedulePolicy, Vec, audit_schedule, build, delayed_index, run,
-                       scheduler, select_blocks)
+from projsplit import (ConfigError, EngineConfig, PrimalDualPoint, SchedulePolicy, Vec,
+                       audit_schedule, build, run, scheduler)
+from projsplit.scheduler import HistoryBuffer, delayed_index, select_blocks
 from projsplit.errors import HistoryError
 
 C = scheduler._CHUNK
