@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .engine import EngineConfig
@@ -41,12 +42,22 @@ from .scheduler import SchedulePolicy
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run configuration.
+
+    ``problem_params`` is kept as a read-only mapping over a copy of the
+    given one. It takes part in equality but not in the hash, so a config
+    hashes although its parameters (lists among them) do not.
+    """
+
     problem_kind: str
-    problem_params: Mapping = field(default_factory=dict)
+    problem_params: Mapping = field(default_factory=dict, hash=False)
     engine: EngineConfig = field(default_factory=EngineConfig)
     schedule: SchedulePolicy = field(default_factory=SchedulePolicy)
     errors: ErrorPolicy = field(default_factory=ErrorPolicy)
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "problem_params", MappingProxyType(dict(self.problem_params)))
 
     def with_overrides(self, seed: int | None = None,
                        max_iters: int | None = None) -> "RunConfig":

@@ -127,6 +127,8 @@ class EngineConfig:
         checked_integer("max_backtracks", self.max_backtracks)
         checked_integer("max_iters", self.max_iters, lo=0)
         rho = self.rho_init
+        if isinstance(rho, np.ndarray) and rho.ndim == 0:
+            rho = rho.item()
         if isinstance(rho, (tuple, list, np.ndarray)):
             rho = tuple(checked_real("rho_init", r, positive=True) for r in rho)
         else:

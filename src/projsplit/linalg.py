@@ -84,6 +84,21 @@ class Vec:
         return f"Vec(dim={len(self.entries)}, {self.entries!r})"
 
 
+def _aligned_copy(mat: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``mat`` whose data starts at a 64-byte boundary.
+
+    A dense matrix-vector product gives the same bits at any address, but
+    on an x86-64 Xeon with one BLAS thread a 200x500 ``A @ x`` plus
+    ``A.T @ y`` took 25 us from a 64-byte boundary and 36-42 us from the
+    other 8-byte offsets.
+    """
+    buf = np.empty(mat.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + mat.nbytes].view(mat.dtype).reshape(mat.shape)
+    out[...] = mat
+    return out
+
+
 class LinearMap:
     """Bounded linear map G from R^domain to R^codomain, with an exact adjoint.
 
@@ -101,7 +116,7 @@ class LinearMap:
             raise ShapeError(f"dense map needs a non-empty 2-d matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ShapeError("map entries must be finite")
-        mat = mat.copy()
+        mat = _aligned_copy(mat)
         mat.setflags(write=False)
         self.codomain, self.domain = mat.shape
         self.kind = "dense"

@@ -154,32 +154,51 @@ def _soft(v, t):
 
 # a sign pattern that has held this many consecutive proximal-gradient
 # iterations gets one support-polish attempt
-_POLISH_WINDOW = 50
+_POLISH_WINDOW = 10
+# a support polish corrects its sign pattern at most this many times
+_POLISH_CORRECTIONS = 20
 
 
 def _support_polish(a_mat, b, lam, z):
-    """Lasso solution on the support and signs of z, or None if it fails.
+    """Lasso solution reached from the support and signs of z, or None.
 
-    Solves the normal equations on the support with the signs fixed and
-    keeps the result only when its signs match on the support and every
-    off-support dual satisfies |A^T(A z - b)| <= lam*(1 - 1e-10). The
-    result depends on the support and its signs alone.
+    Each step solves the normal equations on the current support with its
+    signs fixed. The result is returned when its signs match on the support
+    and every off-support dual satisfies |A^T(A z - b)| <= lam*(1 - 1e-10).
+    Otherwise the pattern is corrected: coordinates whose solved sign
+    flipped leave the support, and off-support coordinates whose dual
+    exceeds that bound enter it with the sign opposite to their dual. The
+    polish gives up after ``_POLISH_CORRECTIONS`` corrections, as soon as
+    a correction does not reduce the number of violating coordinates, or on
+    a support wider than A has rows, where the normal equations are
+    singular. A passing result depends on its support and signs alone.
     """
-    support = np.abs(z) > 1e-12
-    if not support.any():
-        return None
-    signs = np.sign(z[support])
-    a_s = a_mat[:, support]
-    try:
-        z_s = np.linalg.solve(a_s.T @ a_s, a_s.T @ b - lam * signs)
-    except np.linalg.LinAlgError:
-        return None
-    polished = np.zeros(z.shape[0])
-    polished[support] = z_s
-    off_dual = a_mat.T @ (a_mat @ polished - b)
-    if (np.all(np.sign(polished[support]) == signs)
-            and np.all(np.abs(off_dual[~support]) <= lam * (1.0 - 1e-10))):
-        return polished
+    pattern = np.where(np.abs(z) > 1e-12, np.sign(z), 0.0)
+    violations = np.inf
+    for _ in range(_POLISH_CORRECTIONS + 1):
+        support = pattern != 0.0
+        if not 0 < np.count_nonzero(support) <= a_mat.shape[0]:
+            return None
+        signs = pattern[support]
+        a_s = a_mat[:, support]
+        try:
+            z_s = np.linalg.solve(a_s.T @ a_s, a_s.T @ b - lam * signs)
+        except np.linalg.LinAlgError:
+            return None
+        polished = np.zeros(z.shape[0])
+        polished[support] = z_s
+        dual = a_mat.T @ (a_mat @ polished - b)
+        # written so that a NaN counts as a violation
+        leaving = ~(np.sign(z_s) == signs)
+        entering = ~support & ~(np.abs(dual) <= lam * (1.0 - 1e-10))
+        count = np.count_nonzero(leaving) + np.count_nonzero(entering)
+        if count == 0:
+            return polished
+        if count >= violations:
+            return None
+        violations = count
+        pattern[np.flatnonzero(support)[leaving]] = 0.0
+        pattern[entering] = -np.sign(dual[entering])
     return None
 
 
@@ -188,13 +207,13 @@ def _lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
 
     Whenever the proximal iterate's sign pattern has held for
     ``_POLISH_WINDOW`` consecutive iterations and has not been tried
-    before, :func:`_support_polish` is attempted on it, and the first
-    polish that passes is returned. Otherwise the iteration runs to a
-    ``tol`` gradient-map norm and polishes once more, returning the
-    unpolished iterate if that polish fails. A passing polish is exact up
-    to the linear solve and depends only on the pattern, so when the
-    pattern at ``tol`` is the one that passed early, stopping early returns
-    the same bits.
+    before, :func:`_support_polish` refines it by active-set corrections,
+    and the first polish that passes is returned. Otherwise the iteration
+    runs to a ``tol`` gradient-map norm and polishes once more, returning
+    the unpolished iterate if that polish fails. A passing polish is exact
+    up to the linear solve and depends only on the pattern it ends on. A
+    generic lasso solution is unique, so that pattern is the one a polish
+    at ``tol`` would pass on, and stopping early returns the same bits.
     """
     d = a_mat.shape[1]
     lip = np.linalg.norm(a_mat, 2) ** 2
@@ -338,10 +357,11 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
 
     Two blocks: the residual map u -> u - b composed with A (forward) and
     the l1 subdifferential (backward). The oracle runs an independent
-    proximal-gradient solver and solves the normal equations on the support
-    it identifies, as soon as a sign pattern has held for 50 iterations and
-    the result checks out (at the latest at a 1e-10 gradient-map norm); the
-    dual is recovered as w1 = A z* - b.
+    proximal-gradient solver and, once a sign pattern has held for 10
+    iterations, refines it by active-set corrections, solving the normal
+    equations on each support, until the result checks out (at the latest
+    at a 1e-10 gradient-map norm); the dual is recovered as w1 = A z* - b.
+    Both run on the map's aligned copy of A.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -360,6 +380,7 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
         z_init=Vec(np.zeros(d)),
         w_init=(Vec(np.zeros(m)),),
     )
+    a_mat = spec.maps[0].matrix
     z_star = _lasso_oracle(a_mat, b, lam)
     w1 = a_mat @ z_star - b
     ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),), accuracy=1e-8)

@@ -1,6 +1,7 @@
 import pytest
 
-from projsplit import ConfigError, EngineConfig, ErrorPolicy, SchedulePolicy, parse_config
+from projsplit import (ConfigError, EngineConfig, ErrorPolicy, SchedulePolicy, build,
+                       parse_config)
 from projsplit.config import RunConfig
 
 
@@ -110,6 +111,17 @@ def test_roundtrip_rich_config():
                        delay_kind="seeded-random", seed=42),
         ErrorPolicy(sigma=0.25, mode="seeded-random", magnitude=0.01, seed=43),
         seed=42)
+
+
+def test_a_config_hashes_and_keeps_its_problem_parameters_read_only():
+    text = '{"problem": {"kind": "lasso", "m": 6, "d": 9, "forward_blocks": [1]}}'
+    cfg = parse_config(text)
+    assert cfg == parse_config(text) and hash(cfg) == hash(parse_config(text))
+    assert hash(cfg.with_overrides(seed=3)) == hash(parse_config(text).with_overrides(seed=3))
+    with pytest.raises(TypeError):
+        cfg.problem_params["m"] = 7
+    spec, _ = build(cfg.problem_kind, cfg.problem_params)
+    assert spec.dim == 9 and spec.forward_blocks == {0}
 
 
 def test_overrides_rederive_seeds():

@@ -91,7 +91,7 @@ def test_config_keeps_a_per_block_rho_init_as_a_tuple_of_floats(rho):
 
 
 def test_config_keeps_a_scalar_rho_init_as_a_float():
-    for rho in (2, np.float64(2.0), np.int64(2)):
+    for rho in (2, np.float64(2.0), np.int64(2), np.array(2.0)):
         cfg = EngineConfig(rho_init=rho)
         assert type(cfg.rho_init) is float and cfg.rho_init == 2.0
         assert cfg == EngineConfig(rho_init=2.0) and hash(cfg) == hash(EngineConfig(rho_init=2.0))

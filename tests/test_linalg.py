@@ -84,6 +84,23 @@ def test_apply_dimension_mismatch():
         g.apply_adjoint(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("offset", range(0, 64, 8))
+def test_dense_map_copy_is_aligned_and_applies_the_same_bits(offset):
+    # the source sits at every 8-byte offset from a 64-byte boundary
+    rng = np.random.default_rng(offset)
+    a_mat = rng.standard_normal((200, 500))
+    buf = np.empty(a_mat.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    source = buf[start:start + a_mat.nbytes].view(float).reshape(a_mat.shape)
+    source[...] = a_mat
+    g = LinearMap(source)
+    assert g.matrix.ctypes.data % 64 == 0 and g.matrix.flags.c_contiguous
+    assert not g.matrix.flags.writeable and np.array_equal(g.matrix, a_mat)
+    x, y = rng.standard_normal(500), rng.standard_normal(200)
+    assert g.apply(x).tobytes() == (source @ x).tobytes()
+    assert g.apply_adjoint(y).tobytes() == (source.T @ y).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), d=st.integers(1, 6))
 def test_adjoint_consistency_random_maps(seed, m, d):

@@ -39,9 +39,10 @@ def test_lasso_rejects_bad_weight():
         make_lasso(np.eye(2), [1.0, 1.0], 0.0)
 
 
-def _straight_lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
-    """The oracle without early polish attempts: restarted FISTA to tol, then
-    one support polish, kept only if its signs and off-support duals pass."""
+def _straight_lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=30_000):
+    """The oracle without early polish attempts: restarted FISTA to tol (or
+    for max_iters iterations, whichever comes first), then one support
+    polish, kept only if its signs and off-support duals pass."""
     def soft(v, t):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -62,8 +63,6 @@ def _straight_lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
         if np.dot(z_acc - z_new, z_new - z_old) > 0.0:
             z_acc, theta_new = z_new, 1.0
         z_old, z, theta = z_new, z_acc, theta_new
-    else:
-        raise AssertionError("reference loop did not reach its tolerance")
     support = np.abs(z) > 1e-12
     if support.any():
         signs = np.sign(z[support])
@@ -85,17 +84,27 @@ def _seeded_lasso_data(seed, m, d, lam_factor=0.1):
     return a_mat, b, lam_factor * float(np.abs(a_mat.T @ b).max())
 
 
+def _panel_lasso_data(seed, j):
+    """Instance j of the 200x500 panel that perfbench's lasso_large builds from seed."""
+    rng = np.random.default_rng([seed, 101, j])
+    a_mat = rng.standard_normal((200, 500))
+    b = rng.standard_normal(200)
+    return a_mat, b, 0.1 * float(np.abs(a_mat.T @ b).max())
+
+
 LASSO_ORACLE_CASES = {
     **{f"20x50-seed{seed}": _seeded_lasso_data(seed, 20, 50) for seed in range(4)},
     "5x8": _seeded_lasso_data(4, 5, 8),
     "1x1": (np.array([[2.0]]), np.array([3.0]), 1.0),
+    "200x500-panel0": _panel_lasso_data(0, 0),
+    # FISTA is still far from tol after 30,000 iterations; its sign pattern
+    # is final from about 18,000 on
+    "100x300-lam0.01-seed8": _seeded_lasso_data(8, 100, 300, lam_factor=0.01),
 }
 
 
-@pytest.mark.parametrize("case", sorted(LASSO_ORACLE_CASES))
-def test_lasso_oracle_early_polish_returns_the_straight_loops_bits(case, monkeypatch):
-    a_mat, b, lam = LASSO_ORACLE_CASES[case]
-    expected, straight_iters = _straight_lasso_oracle(a_mat, b, lam)
+def _count_fista_iterations(monkeypatch):
+    """A counter of calls to the oracle's soft threshold, one per FISTA iteration."""
     iters = [0]
     soft = problems._soft
 
@@ -104,6 +113,14 @@ def test_lasso_oracle_early_polish_returns_the_straight_loops_bits(case, monkeyp
         return soft(v, t)
 
     monkeypatch.setattr(problems, "_soft", counted)
+    return iters
+
+
+@pytest.mark.parametrize("case", sorted(LASSO_ORACLE_CASES))
+def test_lasso_oracle_early_polish_returns_the_straight_loops_bits(case, monkeypatch):
+    a_mat, b, lam = LASSO_ORACLE_CASES[case]
+    expected, straight_iters = _straight_lasso_oracle(a_mat, b, lam)
+    iters = _count_fista_iterations(monkeypatch)
     z = problems._lasso_oracle(a_mat, b, lam)
     assert z.tobytes() == expected.tobytes()
     # the 1x1 case reaches tol in two iterations; the others settle their
@@ -112,6 +129,36 @@ def test_lasso_oracle_early_polish_returns_the_straight_loops_bits(case, monkeyp
         assert iters[0] == straight_iters
     else:
         assert iters[0] < straight_iters
+
+
+def test_lasso_oracle_fista_iterations_on_the_benchmark_panel(monkeypatch):
+    # the seed-0 lasso_large panel took 13,701 iterations with one polish per
+    # pattern held 50 iterations; corrections reach the pattern sooner
+    iters = _count_fista_iterations(monkeypatch)
+    for j in range(16):
+        make_lasso(*_panel_lasso_data(0, j))
+    assert iters[0] == 2001
+
+
+def test_support_polish_corrects_a_wrong_pattern_to_the_solution():
+    a_mat, b, lam = _seeded_lasso_data(0, 20, 50)
+    z_star = problems._lasso_oracle(a_mat, b, lam)
+    support = np.flatnonzero(z_star)
+    start = z_star.copy()
+    start[support[0]] = 0.0  # one coordinate missing
+    start[np.flatnonzero(z_star == 0.0)[0]] = 1.0  # one wrong coordinate
+    assert problems._support_polish(a_mat, b, lam, start).tobytes() == z_star.tobytes()
+
+
+def test_support_polish_skips_a_support_wider_than_the_rows(monkeypatch):
+    # more columns than rows make the normal equations singular: no solve is tried
+    a_mat, b, lam = _seeded_lasso_data(0, 20, 50)
+
+    def no_solve(*args):
+        raise AssertionError("solved a singular system")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert problems._support_polish(a_mat, b, lam, np.ones(50)) is None
 
 
 def test_small_lambda_lasso_oracle_certifies():
