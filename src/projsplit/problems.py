@@ -157,6 +157,9 @@ def _soft(v, t):
 _POLISH_WINDOW = 10
 # a support polish corrects its sign pattern at most this many times
 _POLISH_CORRECTIONS = 20
+# the proximal-gradient oracle gives up when its gradient-map norm has not
+# halved within this many iterations of its last halving, which left it >= lam
+_STALL_WINDOW = 20_000
 
 
 def _support_polish(a_mat, b, lam, z):
@@ -214,6 +217,15 @@ def _lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
     up to the linear solve and depends only on the pattern it ends on. A
     generic lasso solution is unique, so that pattern is the one a polish
     at ``tol`` would pass on, and stopping early returns the same bits.
+
+    The oracle raises a :class:`~projsplit.errors.ConfigError` after
+    ``max_iters`` iterations, or sooner when its gradient-map norm has not
+    halved within ``_STALL_WINDOW`` iterations of its last halving and that
+    halving left it at or above lam. There each step still moves the
+    iterate by about one threshold t*lam or more, as when the prox only
+    shrinks coordinates toward zero, and at tiny lam that runs past the
+    limit (20x50 at lam_factor 1e-6 plateaus at 3.6 lam); slow instances
+    that certify plateau about two orders of magnitude below lam.
     """
     d = a_mat.shape[1]
     lip = np.linalg.norm(a_mat, 2) ** 2
@@ -224,11 +236,17 @@ def _lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
     z_old = z.copy()
     theta = 1.0
     pattern, held, tried = None, 0, set()
-    for _ in range(max_iters):
+    mark, mark_k = np.inf, 0  # the gradient-map norm at its last halving, and when
+    for k in range(max_iters):
         grad = a_mat.T @ (a_mat @ z - b)
         z_new = _soft(z - t * grad, t * lam)
-        if np.linalg.norm((z - z_new) / t) <= tol:
-            z = z_new
+        gap = np.linalg.norm((z - z_new) / t)
+        if gap <= tol:
+            polished = _support_polish(a_mat, b, lam, z_new)
+            return z_new if polished is None else polished
+        if gap <= 0.5 * mark:
+            mark, mark_k = gap, k
+        elif k - mark_k >= _STALL_WINDOW and mark >= lam:
             break
         key = np.where(np.abs(z_new) > 1e-12, np.sign(z_new), 0.0).astype(np.int8).tobytes()
         held = held + 1 if key == pattern else 1
@@ -243,10 +261,7 @@ def _lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
         if np.dot(z_acc - z_new, z_new - z_old) > 0.0:  # restart on momentum reversal
             z_acc, theta_new = z_new, 1.0
         z_old, z, theta = z_new, z_acc, theta_new
-    else:
-        raise ConfigError("lasso oracle did not reach its gradient-map tolerance")
-    polished = _support_polish(a_mat, b, lam, z)
-    return z if polished is None else polished
+    raise ConfigError("lasso oracle did not reach its gradient-map tolerance")
 
 
 def _bisect_increasing(fn, lo, hi, max_iters=200):
@@ -275,13 +290,21 @@ class _OracleFailure(Exception):
 
 
 def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
-    """Smoothed damped-Newton solve followed by an active-set polish.
+    """Smoothed damped-Newton solve with active-set polishes.
 
-    The l1 term is smoothed (Huber gradient) on a decreasing scale to find
-    the active pattern of G2 z; the pattern then fixes a square linear KKT
-    system whose solution is exact up to the linear solve. Degenerate
-    patterns (tiny complementarity margins, sign flips) are rejected so the
-    caller can retry with another seed.
+    The l1 term is smoothed (Huber gradient) on a decreasing scale mu to
+    find the active pattern of G2 z. A pattern fixes a square linear KKT
+    system whose solution is exact up to the linear solve and depends on
+    the pattern alone; the polish solves it and rejects solutions whose
+    active signs flip, whose active components come within 1e-6 of the
+    kink, whose multipliers come within 1e-6 of lam, or whose stationarity
+    residual exceeds 1e-10. At every Newton step the Huber-active pattern
+    (|G2 z| > mu, with signs) gets a polish when it is new, and the first
+    that passes is returned. Otherwise the pattern |G2 z| > 1e-7 at the end
+    of the smoothing gets a last polish, whose failure is raised so the
+    caller can retry with another seed. The problem is strongly monotone,
+    so its solution is unique and only its own pattern passes those strict
+    margins: stopping early returns the same bits as the last polish.
     """
     d0 = pd_mat.shape[0]
     lin = g1.T @ skew @ g1 + pd_mat
@@ -293,9 +316,51 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
         grad_h = np.where(np.abs(s) <= mu, s / mu, np.sign(s))
         return lin @ zz + rhs0 + lam * (g2.T @ grad_h)
 
+    def polish(active, signs):
+        g2_act, g2_ina = g2[active], g2[~active]
+        n_ina = g2_ina.shape[0]
+        rhs_top = -rhs0 - (lam * (g2_act.T @ signs) if active.any() else 0.0)
+        try:
+            if n_ina == 0:
+                z = np.linalg.solve(lin, rhs_top)
+                w_ina = np.zeros(0)
+            else:
+                kkt = np.block([[lin, g2_ina.T], [g2_ina, np.zeros((n_ina, n_ina))]])
+                sol = np.linalg.solve(kkt, np.concatenate([rhs_top, np.zeros(n_ina)]))
+                z, w_ina = sol[:d0], sol[d0:]
+        except np.linalg.LinAlgError:
+            raise _OracleFailure("singular active-set system")
+
+        w2 = np.empty(g2.shape[0])
+        w2[active] = lam * signs
+        w2[~active] = w_ina
+        w1 = skew @ (g1 @ z) + c1
+
+        s_final = g2 @ z
+        if active.any() and not np.all(np.sign(s_final[active]) == signs):
+            raise _OracleFailure("sign pattern flipped in polish")
+        if active.any() and np.abs(s_final[active]).min() < 1e-6:
+            raise _OracleFailure("active components too close to the kink")
+        if n_ina and lam - np.abs(w_ina).max() < 1e-6:
+            raise _OracleFailure("complementarity margin too small")
+        station = np.linalg.norm(g1.T @ w1 + g2.T @ w2 + pd_mat @ z + q)
+        if station > 1e-10:
+            raise _OracleFailure(f"stationarity residual {station:.2e}")
+        return z, w1, w2
+
+    tried = set()
     for mu in (1e-1, 1e-3, 1e-6, 1e-9):
         for _ in range(100):
             s = g2 @ z
+            pattern = np.where(np.abs(s) > mu, np.sign(s), 0.0)
+            key = pattern.tobytes()
+            if key not in tried:
+                tried.add(key)
+                active = pattern != 0.0
+                try:
+                    return polish(active, pattern[active])
+                except _OracleFailure:
+                    pass
             f_val = residual(z, mu)
             nf = np.linalg.norm(f_val)
             if nf <= 1e-12:
@@ -315,37 +380,7 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
 
     s = g2 @ z
     active = np.abs(s) > 1e-7
-    signs = np.sign(s[active])
-    g2_act, g2_ina = g2[active], g2[~active]
-    n_ina = g2_ina.shape[0]
-    rhs_top = -rhs0 - (lam * (g2_act.T @ signs) if active.any() else 0.0)
-    try:
-        if n_ina == 0:
-            z = np.linalg.solve(lin, rhs_top)
-            w_ina = np.zeros(0)
-        else:
-            kkt = np.block([[lin, g2_ina.T], [g2_ina, np.zeros((n_ina, n_ina))]])
-            sol = np.linalg.solve(kkt, np.concatenate([rhs_top, np.zeros(n_ina)]))
-            z, w_ina = sol[:d0], sol[d0:]
-    except np.linalg.LinAlgError:
-        raise _OracleFailure("singular active-set system")
-
-    w2 = np.empty(g2.shape[0])
-    w2[active] = lam * signs
-    w2[~active] = w_ina
-    w1 = skew @ (g1 @ z) + c1
-
-    s_final = g2 @ z
-    if active.any() and not np.all(np.sign(s_final[active]) == signs):
-        raise _OracleFailure("sign pattern flipped in polish")
-    if active.any() and np.abs(s_final[active]).min() < 1e-6:
-        raise _OracleFailure("active components too close to the kink")
-    if n_ina and lam - np.abs(w_ina).max() < 1e-6:
-        raise _OracleFailure("complementarity margin too small")
-    station = np.linalg.norm(g1.T @ w1 + g2.T @ w2 + pd_mat @ z + q)
-    if station > 1e-10:
-        raise _OracleFailure(f"stationarity residual {station:.2e}")
-    return z, w1, w2
+    return polish(active, np.sign(s[active]))
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +494,11 @@ def make_skew_composed(seed: int, dims=(8, 6, 10),
 
     T1(u) = K u + c1 with K skew (forward, composed through a dense G1),
     T2 the l1 subdifferential composed through a dense G2 (backward), and
-    T3(z) = P z + q with P positive definite (backward). Seeds producing
-    degenerate active patterns are retried with the next seed, up to
-    ``_SKEW_SEED_TRIES`` seeds in all.
+    T3(z) = P z + q with P positive definite (backward). The oracle is a
+    smoothed damped-Newton solve that returns at the first Huber-active
+    pattern whose KKT solution passes its checks (:func:`_skew_oracle`).
+    Seeds producing degenerate active patterns are retried with the next
+    seed, up to ``_SKEW_SEED_TRIES`` seeds in all.
     """
     d0, d1, d2 = dims
     last_err = None

@@ -201,6 +201,14 @@ def test_a_problem_too_large_to_build_exits_1(tmp_path, capsys, monkeypatch):
                 f"error: problem '{problem['kind']}' cannot be built from these parameters: ")
 
 
+def test_a_lasso_oracle_that_stalls_exits_1(tmp_path, capsys):
+    # the oracle ran 500,000 iterations (about 9 s) before this exit
+    cfg = write_config(tmp_path, {"problem": {"kind": "lasso", "lam_factor": 1e-10}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lasso oracle did not reach its gradient-map tolerance")
+
+
 BOX_ASYNC = {"problem": {"kind": "box_cubic"}, "engine": {"max_iters": 50},
              "schedule": {"kind": "seeded-random", "delay_kind": "seeded-random", "D": 2}}
 # (section or None for the top level, field, value); each escaped cli.main as a

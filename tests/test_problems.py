@@ -161,6 +161,23 @@ def test_support_polish_skips_a_support_wider_than_the_rows(monkeypatch):
     assert problems._support_polish(a_mat, b, lam, np.ones(50)) is None
 
 
+@pytest.mark.parametrize("lam_factor", [1e-6, 1e-10])
+def test_a_stalled_lasso_oracle_fails_fast(lam_factor, monkeypatch):
+    # the gradient-map norm stops halving after about 100 iterations; these
+    # builds ran to the 500,000-iteration limit (9-12 s) before failing
+    iters = _count_fista_iterations(monkeypatch)
+    with pytest.raises(ConfigError, match="lasso oracle did not reach its gradient-map tolerance"):
+        build("lasso", {"lam_factor": lam_factor})
+    assert iters[0] <= 25_000
+
+
+def test_a_lasso_plateau_well_below_lam_is_no_stall():
+    # the best gradient-map norm sits at 6.2e-4 (lam/120) from iteration
+    # 2,206 to 44,130, where the polish passes
+    spec, ref = build("lasso", {"seed": 4, "m": 20, "d": 50, "lam_factor": 0.01})
+    assert kkt_residual(spec, ref.z, ref.w) <= 1e-8
+
+
 def test_small_lambda_lasso_oracle_certifies():
     # restarted FISTA never reaches 1e-10 here in 500,000 iterations; the
     # support it settles on certifies through the polish
@@ -209,6 +226,116 @@ def test_skew_default_instance_certificate():
     assert kkt_residual(spec, ref.z, ref.w) <= 1e-8
     assert spec.n == 3
     assert spec.forward_blocks == {0}
+
+
+def _skew_data(seed, dims):
+    """The draws make_skew_composed makes for one seed: (g1, g2, skew, c1, pd_mat, q)."""
+    d0, d1, d2 = dims
+    rng = np.random.default_rng([seed, 613])
+    g1 = rng.standard_normal((d1, d0)) / np.sqrt(d0)
+    g2 = rng.standard_normal((d2, d0)) / np.sqrt(d0)
+    raw = rng.standard_normal((d1, d1)) / np.sqrt(d1)
+    c1 = rng.standard_normal(d1)
+    root = rng.standard_normal((d0, d0)) / np.sqrt(d0)
+    return g1, g2, raw - raw.T, c1, root.T @ root + np.eye(d0), rng.standard_normal(d0)
+
+
+def _straight_skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
+    """The skew oracle without early polish attempts: damped Newton through all
+    four smoothing levels, then one active-set polish on |G2 z| > 1e-7; None
+    where that polish fails a check."""
+    d0 = pd_mat.shape[0]
+    lin = g1.T @ skew @ g1 + pd_mat
+    rhs0 = g1.T @ c1 + q
+    z = np.zeros(d0)
+
+    def residual(zz, mu):
+        s = g2 @ zz
+        grad_h = np.where(np.abs(s) <= mu, s / mu, np.sign(s))
+        return lin @ zz + rhs0 + lam * (g2.T @ grad_h)
+
+    for mu in (1e-1, 1e-3, 1e-6, 1e-9):
+        for _ in range(100):
+            s = g2 @ z
+            f_val = residual(z, mu)
+            nf = np.linalg.norm(f_val)
+            if nf <= 1e-12:
+                break
+            weights = np.where(np.abs(s) <= mu, 1.0 / mu, 0.0)
+            jac = lin + lam * g2.T @ (weights[:, None] * g2)
+            try:
+                step = np.linalg.solve(jac, f_val)
+            except np.linalg.LinAlgError:
+                return None
+            eta = 1.0
+            z_next = z - step
+            while eta > 1e-8 and np.linalg.norm(residual(z_next, mu)) > (1 - 0.5 * eta) * nf:
+                eta *= 0.5
+                z_next = z - eta * step
+            z = z_next
+    s = g2 @ z
+    active = np.abs(s) > 1e-7
+    signs = np.sign(s[active])
+    g2_act, g2_ina = g2[active], g2[~active]
+    n_ina = g2_ina.shape[0]
+    rhs_top = -rhs0 - (lam * (g2_act.T @ signs) if active.any() else 0.0)
+    try:
+        if n_ina == 0:
+            z = np.linalg.solve(lin, rhs_top)
+            w_ina = np.zeros(0)
+        else:
+            kkt = np.block([[lin, g2_ina.T], [g2_ina, np.zeros((n_ina, n_ina))]])
+            sol = np.linalg.solve(kkt, np.concatenate([rhs_top, np.zeros(n_ina)]))
+            z, w_ina = sol[:d0], sol[d0:]
+    except np.linalg.LinAlgError:
+        return None
+    w2 = np.empty(g2.shape[0])
+    w2[active] = lam * signs
+    w2[~active] = w_ina
+    w1 = skew @ (g1 @ z) + c1
+    s_final = g2 @ z
+    if active.any() and (not np.all(np.sign(s_final[active]) == signs)
+                         or np.abs(s_final[active]).min() < 1e-6):
+        return None
+    if n_ina and lam - np.abs(w_ina).max() < 1e-6:
+        return None
+    if np.linalg.norm(g1.T @ w1 + g2.T @ w2 + pd_mat @ z + q) > 1e-10:
+        return None
+    return z, w1, w2
+
+
+# the default dims, a small, a square and a wide instance
+SKEW_ORACLE_DIMS = [(8, 6, 10), (4, 3, 5), (6, 6, 6), (10, 4, 12)]
+
+
+def test_skew_oracle_returns_the_straight_newton_bits():
+    certified = 0
+    for dims in SKEW_ORACLE_DIMS:
+        for seed in range(8):
+            data = _skew_data(seed, dims)
+            expected = _straight_skew_oracle(*data, 1.0)
+            if expected is None:
+                continue
+            certified += 1
+            got = problems._skew_oracle(*data, 1.0)
+            for x, y in zip(got, expected):
+                assert x.tobytes() == y.tobytes(), (seed, dims)
+    assert certified >= 24
+
+
+def test_skew_oracle_linear_solves_on_the_default_instance(monkeypatch):
+    # damped Newton down to mu = 1e-9 before the one polish took 214; the
+    # pattern already passes at an early Newton step
+    calls = [0]
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    make_skew_composed(1234)
+    assert calls[0] == 21
 
 
 def test_skew_identity_maps_matches_direct_solve():
