@@ -213,6 +213,14 @@ def test_signed_sqrt_roots():
     assert ref.z.entries == pytest.approx([4.0], abs=1e-10)
 
 
+# tiny roots (z ~ c^2), and constants whose float spacing is near or above the
+# 1e-10 target, need the root to the precision of c
+@pytest.mark.parametrize("c", [1e-8, 1e-12, 1e-100, 1e-300, -1e-8, 1e6, -1e6, 2e6, -1e9])
+def test_signed_sqrt_oracle_certifies_tiny_and_large_constants(c):
+    spec, ref = build("signed_sqrt", {"c": c})  # a missed target raises ConfigError
+    assert kkt_residual(spec, ref.z, ref.w) <= ref.accuracy
+
+
 def test_kkt_residual_zero_everywhere():
     spec = ProblemSpec(name="null", maps=(LinearMap.identity(2),),
                        operators=(zero_op(2), zero_op(2)), forward_blocks=frozenset({0}),
@@ -324,8 +332,8 @@ def test_skew_oracle_returns_the_straight_newton_bits():
 
 
 def test_skew_oracle_linear_solves_on_the_default_instance(monkeypatch):
-    # damped Newton down to mu = 1e-9 before the one polish took 214; the
-    # pattern already passes at an early Newton step
+    # one solve at l = 0, one per piece of the solution path (9 pieces) and
+    # one polish
     calls = [0]
     solve = np.linalg.solve
 
@@ -335,7 +343,7 @@ def test_skew_oracle_linear_solves_on_the_default_instance(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     make_skew_composed(1234)
-    assert calls[0] == 21
+    assert calls[0] == 11
 
 
 def test_skew_identity_maps_matches_direct_solve():
