@@ -10,8 +10,8 @@ no checking) and checks, every iteration:
 * pi-identity    -- the separator's gradient norm matches an independent
                     assembly of the gradient in the weighted metric;
 * update-identity-- each block update reproduces its defining equation;
-* projection     -- under beta = 1, the projection lands on the zero
-                    hyperplane;
+* projection     -- the relaxed projection lands where the separator
+                    takes (1 - beta) times its old value;
 * error-bounds   -- injected prox errors satisfied their admissibility
                     inequalities;
 * stepsize-bound -- each forward block's accepted stepsize is at most its
@@ -201,9 +201,11 @@ class InvariantMonitor:
                 stepsize = max(stepsize, block.rho - bound)
                 self._last_rho[i] = block.rho
 
-        if record.projected and record.phi > 0.0 and config.beta == 1.0:
+        if record.projected and record.phi > 0.0:
+            # phi is affine, so the relaxed projection leaves (1 - beta)*phi
             landed = affine_value(engine.blocks, engine.problem.maps, engine.iterate)
-            projection = abs(landed) - PROJECTION_TOL * (1.0 + abs(record.phi))
+            projection = (abs(landed - (1.0 - config.beta) * record.phi)
+                          - PROJECTION_TOL * (1.0 + abs(record.phi)))
 
         if self.ref_point is not None:
             sep_val = _affine_value(engine.blocks, self._ref_gz, self._ref, self._ref_wn)

@@ -227,8 +227,9 @@ def _lasso_oracle(a_mat, b, lam, tol=1e-10, max_iters=500_000):
     limit (20x50 at lam_factor 1e-6 plateaus at 3.6 lam); slow instances
     that certify plateau about two orders of magnitude below lam.
     """
-    d = a_mat.shape[1]
-    lip = np.linalg.norm(a_mat, 2) ** 2
+    m, d = a_mat.shape
+    # ||A||_2^2 is the largest eigenvalue of the smaller Gram matrix
+    lip = np.linalg.eigvalsh(a_mat @ a_mat.T if m <= d else a_mat.T @ a_mat)[-1]
     if lip == 0.0:
         return np.zeros(d)
     t = 1.0 / lip
@@ -287,18 +288,20 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
     whose multiplier reaches +-l enters with that sign. A component changes
     only where it reaches a boundary while moving toward it, so one that
     just left cannot come back with its old sign at once but may re-enter
-    with the opposite one. Once as many components are inactive as z has
-    entries, z = 0 for every larger l, and the path ends on the
-    all-inactive pattern.
+    with the opposite one. Once an event l0 leaves as many components
+    inactive as z has entries, z = 0 for every l >= l0, and the path ends on
+    the all-inactive pattern.
 
     The pattern at lam fixes a square linear KKT system whose solution is
     exact up to the linear solve and depends on the pattern alone; the
     polish solves it and rejects solutions whose active signs flip, whose
     active components come within 1e-6 of the kink, whose multipliers come
-    within 1e-6 of lam, or whose stationarity residual exceeds 1e-10. A
-    rejection, a singular system or a path of more than
-    ``_PATH_EVENTS_PER_COMPONENT`` events per component is raised so the
-    caller can retry with another seed.
+    within 1e-6 of lam, or whose stationarity residual exceeds 1e-10. With
+    G2 taller than z the all-inactive system is singular; where its polish
+    fails, the same checks pass or reject (0, c1, w2(l0)), whose multipliers
+    the last piece gives at l0 with |w2| <= l0 < lam. A rejection, a
+    singular system or a path of more than ``_PATH_EVENTS_PER_COMPONENT``
+    events per component raises ``_OracleFailure``.
     """
     d0 = pd_mat.shape[0]
     lin = g1.T @ skew @ g1 + pd_mat
@@ -308,28 +311,27 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
         g2_act, g2_ina = g2[active], g2[~active]
         n_ina = g2_ina.shape[0]
         rhs_top = -rhs0 - (lam * (g2_act.T @ signs) if active.any() else 0.0)
+        w2 = np.empty(g2.shape[0])
+        w2[active] = lam * signs
         try:
             if n_ina == 0:
                 z = np.linalg.solve(lin, rhs_top)
-                w_ina = np.zeros(0)
             else:
                 kkt = np.block([[lin, g2_ina.T], [g2_ina, np.zeros((n_ina, n_ina))]])
                 sol = np.linalg.solve(kkt, np.concatenate([rhs_top, np.zeros(n_ina)]))
-                z, w_ina = sol[:d0], sol[d0:]
+                z, w2[~active] = sol[:d0], sol[d0:]
         except np.linalg.LinAlgError:
             raise _OracleFailure("singular active-set system")
+        return checked(z, w2, active, signs)
 
-        w2 = np.empty(g2.shape[0])
-        w2[active] = lam * signs
-        w2[~active] = w_ina
+    def checked(z, w2, active, signs):
         w1 = skew @ (g1 @ z) + c1
-
         s_final = g2 @ z
         if active.any() and not np.all(np.sign(s_final[active]) == signs):
             raise _OracleFailure("sign pattern flipped in polish")
         if active.any() and np.abs(s_final[active]).min() < 1e-6:
             raise _OracleFailure("active components too close to the kink")
-        if n_ina and lam - np.abs(w_ina).max() < 1e-6:
+        if not active.all() and lam - np.abs(w2[~active]).max() < 1e-6:
             raise _OracleFailure("complementarity margin too small")
         station = np.linalg.norm(g1.T @ w1 + g2.T @ w2 + pd_mat @ z + q)
         if station > 1e-10:
@@ -342,9 +344,6 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
     active = np.ones(g2.shape[0], dtype=bool)
     for _ in range(_PATH_EVENTS_PER_COMPONENT * active.size):
         ina = np.flatnonzero(~active)
-        if ina.size >= d0:
-            active[:] = False
-            break
         kkt = np.block([[lin, g2[ina].T], [g2[ina], np.zeros((ina.size, ina.size))]])
         rhs = np.zeros((d0 + ina.size, 2))
         rhs[:d0, 0] = -rhs0
@@ -365,6 +364,17 @@ def _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam):
         j = int(np.argmin(hit))
         if not hit[j] < lam:
             break
+        if active[j] and ina.size == d0 - 1:
+            # d0 components are inactive from l0 = hit[j] on, so z = 0 there and
+            # at every larger l. Where the all-inactive system is singular (G2
+            # taller than z), this piece's multipliers at l0 certify lam instead
+            none = np.zeros_like(active)
+            try:
+                return polish(none, signs[none])
+            except _OracleFailure:
+                w2 = hit[j] * signs
+                w2[ina] = w[:, 0] + hit[j] * w[:, 1]
+                return checked(np.zeros(d0), w2, none, signs[none])
         active[j] = not active[j]
     else:
         raise _OracleFailure("solution path did not reach lam")
@@ -475,53 +485,42 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
     return spec, _certify(spec, ref)
 
 
-# seeds make_skew_composed tries before it gives up on an instance
-_SKEW_SEED_TRIES = 8
-
-
 def make_skew_composed(seed: int, dims=(8, 6, 10),
                        lam: float = 1.0) -> tuple[ProblemSpec, ReferenceSolution]:
     """Three blocks with dense compositions and a skew forward block.
 
     T1(u) = K u + c1 with K skew (forward, composed through a dense G1),
     T2 the l1 subdifferential composed through a dense G2 (backward), and
-    T3(z) = P z + q with P positive definite (backward). The oracle follows
-    the exact solution path in the l1 weight from 0 to lam and solves the
-    KKT system of the active pattern it ends on (:func:`_skew_oracle`).
-    Seeds whose pattern fails the oracle's checks are retried with the next
-    seed, up to ``_SKEW_SEED_TRIES`` seeds in all.
+    T3(z) = P z + q with P positive definite (backward), drawn from seed.
+    The oracle follows the exact solution path in the l1 weight from 0 to
+    lam and solves the KKT system of the active pattern it ends on
+    (:func:`_skew_oracle`); if it fails, a ConfigError names seed and dims.
     """
     d0, d1, d2 = dims
-    last_err = None
-    for attempt in range(_SKEW_SEED_TRIES):
-        use_seed = seed + attempt
-        rng = np.random.default_rng([use_seed, 613])
-        g1 = rng.standard_normal((d1, d0)) / np.sqrt(d0)
-        g2 = rng.standard_normal((d2, d0)) / np.sqrt(d0)
-        raw = rng.standard_normal((d1, d1)) / np.sqrt(d1)
-        skew = raw - raw.T
-        c1 = rng.standard_normal(d1)
-        root = rng.standard_normal((d0, d0)) / np.sqrt(d0)
-        pd_mat = root.T @ root + np.eye(d0)
-        q = rng.standard_normal(d0)
-        try:
-            z, w1, w2 = _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam)
-        except _OracleFailure as exc:
-            last_err = exc
-            continue
-        spec = ProblemSpec(
-            name="skew_composed",
-            maps=(LinearMap(g1), LinearMap(g2)),
-            operators=(affine_monotone(skew, c1), l1_subdifferential(lam, d2),
-                       affine_monotone(pd_mat, q)),
-            forward_blocks=frozenset({0}),
-            z_init=Vec(np.zeros(d0)),
-            w_init=(Vec(np.zeros(d1)), Vec(np.zeros(d2))),
-            )
-        ref = ReferenceSolution(z=Vec(z), w=(Vec(w1), Vec(w2)), accuracy=1e-8)
-        return spec, _certify(spec, ref)
-    raise ConfigError(f"no well-posed instance within {_SKEW_SEED_TRIES} seeds "
-                      f"starting at {seed}: {last_err}")
+    rng = np.random.default_rng([seed, 613])
+    g1 = rng.standard_normal((d1, d0)) / np.sqrt(d0)
+    g2 = rng.standard_normal((d2, d0)) / np.sqrt(d0)
+    raw = rng.standard_normal((d1, d1)) / np.sqrt(d1)
+    skew = raw - raw.T
+    c1 = rng.standard_normal(d1)
+    root = rng.standard_normal((d0, d0)) / np.sqrt(d0)
+    pd_mat = root.T @ root + np.eye(d0)
+    q = rng.standard_normal(d0)
+    try:
+        z, w1, w2 = _skew_oracle(g1, g2, skew, c1, pd_mat, q, lam)
+    except _OracleFailure as exc:
+        raise ConfigError(f"skew oracle failed on seed {seed}, dims {dims}: {exc}") from None
+    spec = ProblemSpec(
+        name="skew_composed",
+        maps=(LinearMap(g1), LinearMap(g2)),
+        operators=(affine_monotone(skew, c1), l1_subdifferential(lam, d2),
+                   affine_monotone(pd_mat, q)),
+        forward_blocks=frozenset({0}),
+        z_init=Vec(np.zeros(d0)),
+        w_init=(Vec(np.zeros(d1)), Vec(np.zeros(d2))),
+    )
+    ref = ReferenceSolution(z=Vec(z), w=(Vec(w1), Vec(w2)), accuracy=1e-8)
+    return spec, _certify(spec, ref)
 
 
 # ---------------------------------------------------------------------------

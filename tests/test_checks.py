@@ -75,6 +75,28 @@ def test_overshooting_steplength_breaks_fejer(monkeypatch):
     assert not named["projection"].passed
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_relaxed_healthy_run_passes_all_checks(beta):
+    spec, ref = build("lasso", {})
+    trace, results = run_with_checks(spec, ref, EngineConfig(beta=beta, max_iters=20000))
+    assert trace.status == "converged"
+    assert all(r.passed for r in results)
+
+
+def test_a_one_percent_steplength_error_breaks_the_relaxed_landing(monkeypatch):
+    # phi is affine, so the relaxed projection must land where phi is
+    # (1 - beta) times its old value; this run converges and no other check
+    # notices the corruption
+    spec, ref = build("lasso", {})
+    _scale_steplength(monkeypatch, 1.01)
+    trace, results = run_with_checks(spec, ref, EngineConfig(beta=1.5, max_iters=20000))
+    assert trace.status == "converged"
+    named = _results_by_name(results)
+    assert not named["projection"].passed
+    assert named["projection"].worst > 1e-3
+    assert all(r.passed for r in results if r.name != "projection")
+
+
 def test_error_injection_run_passes_error_bounds():
     spec, ref = build("lasso", {})
     policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=8)

@@ -132,6 +132,15 @@ def test_verify_passes_on_lasso(tmp_path, capsys):
     assert "all checks passed" in out
 
 
+def test_verify_passes_on_a_skew_instance_solved_at_the_origin(tmp_path, capsys):
+    # seed 7 at these dims has z* = 0 under a G2 taller than z; it exited 1
+    # once the next 7 seeds failed the oracle too
+    cfg = write_config(tmp_path, {"problem": {"kind": "skew_composed", "seed": 7,
+                                              "dims": [2, 2, 7]}})
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_signed_sqrt_linesearch_stays_finite(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problem": {"kind": "signed_sqrt", "dim": 3},
                                   "engine": {"max_iters": 5000}})

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -346,6 +347,35 @@ def test_skew_oracle_linear_solves_on_the_default_instance(monkeypatch):
     assert calls[0] == 11
 
 
+def test_every_skew_build_keeps_its_own_seed():
+    # the skew range of test_property; 58 of these builds returned a later
+    # seed's instance while the oracle could not certify z* = 0 under a G2
+    # taller than z
+    for seed in range(6):
+        for dims in itertools.product(range(1, 5), repeat=3):
+            spec, _ = make_skew_composed(seed, dims)
+            assert np.array_equal(spec.maps[0].matrix, _skew_data(seed, dims)[0]), (seed, dims)
+
+
+def test_a_skew_origin_under_a_tall_g2_is_certified_at_its_path_event():
+    # z* = 0 with 7 rows of G2 over 2 columns: the all-inactive KKT system is
+    # singular, so the reference is the path's event point (0, c1, w2(l0))
+    spec, ref = make_skew_composed(7, (2, 2, 7))
+    assert not ref.z.entries.any()
+    assert np.array_equal(ref.w[0].entries, _skew_data(7, (2, 2, 7))[3])
+    assert np.abs(ref.w[1].entries).max() < 1.0 - 1e-6
+    assert kkt_residual(spec, ref.z, ref.w) <= ref.accuracy
+
+
+def test_a_skew_oracle_failure_is_a_config_error_naming_the_seed(monkeypatch):
+    def failing(*args):
+        raise problems._OracleFailure("singular path system")
+
+    monkeypatch.setattr(problems, "_skew_oracle", failing)
+    with pytest.raises(ConfigError, match=r"seed 3, dims \(8, 6, 10\): singular path system"):
+        build("skew_composed", {"seed": 3})
+
+
 def test_skew_identity_maps_matches_direct_solve():
     # the skew oracle with G1 = G2 = I, on make_skew_composed's draws for seed 5
     rng = np.random.default_rng([5, 613])
@@ -452,7 +482,7 @@ def test_signed_sqrt_dimension_follows_a_list_of_c():
 
 @pytest.mark.parametrize("c", [[1e308, -1e308], 1e308])
 def test_a_build_that_overflows_is_a_config_error_naming_the_problem(c):
-    # the bisection oracle overflows to a non-finite root
+    # 4|c| overflows to inf, so the closed-form root is NaN
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ConfigError, match="problem 'signed_sqrt'.*finite"):
         build("signed_sqrt", {"c": c})

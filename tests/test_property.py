@@ -60,7 +60,7 @@ def test_run_and_cli_end_in_a_documented_status(problem, rho, gamma, max_iters, 
         code = cli.main(["run", "--config", str(path), "--out", tmp])
         try:
             spec, _ = build(cfg.problem_kind, cfg.problem_params)
-        except ConfigError:  # e.g. no well-posed skew instance at these dims
+        except ConfigError:  # e.g. an oracle that misses its accuracy target
             assert code == 1
             return
         trace = run(spec, cfg.engine, cfg.schedule, cfg.errors)
