@@ -23,6 +23,21 @@ trial stepsize stays bounded above by rho_init, which is all the
 convergence theory asks of them. The first search begins at rho_init,
 since initial block states carry rho = rho_init.
 
+A backward block's prox-error search is warm-started the same way. Under
+``seeded-random`` errors a draw is tried at the scales magnitude * 2^-k
+for k = k0, k0 + 1, ... up to an absolute floor of 50 scales (see
+:class:`~projsplit.operators.ErrorPolicy`). The search begins at
+
+    k0 = h_prev - 1 if h_prev > 0 else 0,
+
+one halving above the scale the block accepted last time (h_prev, kept in
+its state as ``halvings``), so its first scale is
+min(magnitude, 2 * last accepted scale). The admissible error shrinks as
+the run converges, and without the warm start most resolvent evaluations
+would be rejected halvings. A zero fallback stores index 0, so the next
+search starts at magnitude again. A block whose policy injects nothing
+evaluates its resolvent once per update.
+
 The block results define an affine separator that is nonpositive on the
 solution set; the iterate is then projected onto its zero hyperplane,
 scaled by the overrelaxation factor beta. The loop stops on small
@@ -166,12 +181,16 @@ class BlockState(NamedTuple):
     monitor verifies the update equations from all four. ``residuals`` is
     the pair (||theta - x||, ||y - w||), formed from the arrays the update
     computed anyway; the engine records it when the update read the current
-    iterate. Initial states leave these fields None.
+    iterate. Initial states leave these fields None. ``halvings`` is the
+    scale index of a backward update's error (u * magnitude * 2^-halvings
+    for a unit direction u; 0 for a zero error), from which the block's
+    next error search starts; it is 0 for other states.
     """
 
     x: np.ndarray
     y: np.ndarray
     rho: float
+    halvings: int = 0
     backtracks: int = 0
     theta: np.ndarray | None = None
     w: np.ndarray | None = None
@@ -249,15 +268,20 @@ class RunTrace:
 
 def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.ndarray,
                     rho: float, error_policy: ErrorPolicy,
-                    rng: np.random.Generator | None) -> BlockState:
-    """Resolvent step at input G z + rho*w + e with an admissible error e drawn from ``rng``."""
+                    rng: np.random.Generator | None, start: int = 0) -> BlockState:
+    """Resolvent step at input G z + rho*w + e with an admissible error e drawn from ``rng``.
+
+    The error search begins at scale index ``start`` (see
+    :func:`~projsplit.operators.inject_error`); the state keeps the accepted
+    index as ``halvings``.
+    """
     g = slot.map
     gz = z_delayed if g.matrix is None else g.apply(z_delayed)
     base = gz + rho * w_delayed
     base.setflags(write=False)
-    e, (x, y) = inject_error(error_policy, rng, base, slot.op, rho, gz, w_delayed)
+    e, (x, y), k = inject_error(error_policy, rng, base, slot.op, rho, gz, w_delayed, start)
     r, s = gz - x, y - w_delayed
-    return BlockState(x, y, rho, 0, gz, w_delayed, None, e,
+    return BlockState(x, y, rho, k, 0, gz, w_delayed, None, e,
                       (math.sqrt(r.dot(r)), math.sqrt(s.dot(s))))
 
 
@@ -310,7 +334,8 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     if not norm < math.inf and not np.isfinite(zeta).all():
         raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
     if norm <= config.quickstop_eps * (1.0 + math.sqrt(w_delayed.dot(w_delayed))):
-        return BlockState(theta, zeta, rho_init, 0, theta, w_delayed, drift, None, (0.0, norm))
+        return BlockState(theta, zeta, rho_init, 0, 0, theta, w_delayed, drift, None,
+                          (0.0, norm))
     delta, nu, budget = config.delta, config.nu, config.max_backtracks
     rho = rho_init
     count = 0
@@ -338,7 +363,7 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
         # which fails the trial as above
         if (delta * gap_sq - slope <= 0.0
                 and (math.isfinite(slope) or np.isfinite(y_try).all())):
-            return BlockState(x_try, y_try, rho, count, theta, w_delayed, drift, None,
+            return BlockState(x_try, y_try, rho, 0, count, theta, w_delayed, drift, None,
                               (math.sqrt(gap_sq), math.sqrt(mismatch.dot(mismatch))))
         rho = nu * rho
 
@@ -540,8 +565,9 @@ class Engine:
                 w_d = w_stale[i] if i < last else dual_sum(w_stale, self._maps, self._dim)
             try:
                 if slot.kind == "backward":
+                    h = blocks[i].halvings
                     blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init, self.error_policy,
-                                                self._rng)
+                                                self._rng, h - 1 if h else 0)
                 else:
                     rho_start = min(slot.rho_init, blocks[i].rho / cfg.nu)
                     blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start, cfg)

@@ -125,12 +125,18 @@ class ErrorPolicy:
         <e, y - w>    <=  rho * sigma * ||y - w||^2
 
     for the prox output (x, y) computed at the perturbed input. ``none``
-    mode injects nothing; ``seeded-random`` draws a direction from a seeded
-    generator, scales it to ``magnitude``, and halves it until both
-    inequalities hold (falling back to zero, which always satisfies them).
-    sigma in [0, 1) and magnitude >= 0 are finite, seed an integer >= 0, and
-    a nonzero magnitude needs ``seeded-random``. The policy holds no
-    generator: each engine seeds its own from ``seed``.
+    mode injects nothing; ``seeded-random`` draws a unit direction from a
+    seeded generator and tries it at the scales magnitude * 2^-k, k = k0,
+    k0 + 1, ..., until both inequalities hold. The index k never exceeds
+    49 (an absolute floor of 50 scales counted from ``magnitude``); past
+    it the error falls back to zero, which always satisfies them. The
+    engine warm-starts each backward block: k0 is one below the index the
+    block accepted last time (0 at its first update, after a zero
+    fallback, or after accepting at k = 0), so a search starts at
+    min(magnitude, 2 * last accepted scale). sigma in [0, 1) and
+    magnitude >= 0 are finite, seed an integer >= 0, and a nonzero
+    magnitude needs ``seeded-random``. The policy holds no generator: each
+    engine seeds its own from ``seed``.
     """
 
     sigma: float = 0.0
@@ -166,28 +172,36 @@ _MAX_HALVINGS = 50
 
 def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_input: np.ndarray,
                  op: MonotoneOperator, rho: float, z_block: np.ndarray,
-                 w_block: np.ndarray) -> tuple[np.ndarray, ProxResult]:
+                 w_block: np.ndarray, start: int = 0) -> tuple[np.ndarray, ProxResult, int]:
     """Perturb a prox input by an admissible error and evaluate the resolvent.
 
     ``rng`` draws the error direction (None is fine when the policy injects
     nothing). ``base_input`` is the unperturbed input G z + rho*w;
-    ``z_block`` is G z itself. Returns the accepted error e and the prox
-    result at base + e. Without an admissible halving e is zero, whose gaps
-    are sigma*||.||^2 >= 0.
+    ``z_block`` is G z itself. The unit direction u is tried as
+    e = u * (magnitude * 2^-k) for k = start, start + 1, ..., 49, each
+    trial one resolvent evaluation, until e is admissible; every entry of
+    e is at most ``magnitude`` in size, so a finite magnitude gives a
+    finite e. Returns the accepted error e, the prox result at base + e
+    and the accepted index k. Without an admissible scale e is zero, whose
+    gaps are sigma*||.||^2 >= 0, and the index is 0, so a search
+    warm-started from it begins at ``magnitude`` again. A policy that
+    injects nothing evaluates the resolvent once and returns index 0.
     """
     zero = np.zeros(base_input.shape[0])
     if policy.mode == "none" or policy.magnitude == 0.0:
-        return zero, prox_eval(op, rho, base_input)
+        return zero, prox_eval(op, rho, base_input), 0
 
     direction = rng.standard_normal(base_input.shape[0])
     # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
     nrm = math.sqrt(direction.dot(direction))
     if nrm == 0.0:
-        return zero, prox_eval(op, rho, base_input)
-    e = policy.magnitude * direction / nrm
+        return zero, prox_eval(op, rho, base_input), 0
+    # scaling the unit vector, not magnitude * direction, keeps every entry
+    # at most magnitude, which stays finite up to the largest float
+    e = (direction / nrm) * (policy.magnitude * 0.5 ** start)
 
     sigma = policy.sigma
-    for _ in range(_MAX_HALVINGS):
+    for k in range(start, _MAX_HALVINGS):
         a = base_input + e
         a.setflags(write=False)
         result = prox_eval(op, rho, a)
@@ -196,10 +210,10 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
         if gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x) >= 0.0:
             y_minus_w = result.y - w_block
             if rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w) >= 0.0:
-                return e, result
+                return e, result, k
         e = 0.5 * e
 
-    return zero, prox_eval(op, rho, base_input)
+    return zero, prox_eval(op, rho, base_input), 0
 
 
 # ---------------------------------------------------------------------------

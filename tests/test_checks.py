@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,20 @@ def test_error_injection_run_passes_error_bounds():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("magnitude", [1.7e308, sys.float_info.max])
+def test_largest_error_magnitudes_stay_finite(magnitude):
+    # magnitude * direction overflowed to inf, and the l1 block's prox was
+    # blamed for the non-finite input it got (assumption-violation at
+    # iteration 1); the error is the unit direction times magnitude
+    spec, ref = build("lasso", {})
+    policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=magnitude, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the gaps of rejected scales
+        trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=5000),
+                                         error_policy=policy)
+    assert trace.status == "converged", trace.message
+    assert all(r.passed for r in results)
+
+
 def test_default_initial_pairs_do_not_break_separation():
     # the default pairs (G_i z1, 0) are not in gra T_i; a first iteration
     # that skipped a block used to put one into the separator
@@ -155,8 +170,8 @@ def test_perturbed_backward_x_breaks_update_identity(monkeypatch):
     original = projsplit.engine.inject_error
 
     def perturbed(*args):
-        e, res = original(*args)
-        return e, ProxResult(res.x + 1e-6, res.y)
+        e, res, k = original(*args)
+        return e, ProxResult(res.x + 1e-6, res.y), k
 
     monkeypatch.setattr(projsplit.engine, "inject_error", perturbed)
     spec, _ = build("lasso", {})
@@ -182,11 +197,11 @@ def test_scaled_pi_breaks_pi_identity(monkeypatch):
 
 
 def test_unhalved_error_breaks_error_bounds(monkeypatch):
-    def unhalved(policy, rng, base_input, op, rho, z_block, w_block):
+    def unhalved(policy, rng, base_input, op, rho, z_block, w_block, start):
         # the first random draw, accepted without the admissibility halvings
         direction = rng.standard_normal(base_input.shape[0])
         e = policy.magnitude * direction / np.linalg.norm(direction)
-        return e, prox_eval(op, rho, base_input + e)
+        return e, prox_eval(op, rho, base_input + e), 0
 
     monkeypatch.setattr(projsplit.engine, "inject_error", unhalved)
     spec, _ = build("lasso", {})
@@ -325,8 +340,8 @@ def _corrupted_async_rows(monkeypatch):
     inject, forward = projsplit.engine.inject_error, projsplit.engine.forward_update_with_backtrack
 
     def perturbed(*args):
-        e, res = inject(*args)
-        return e, ProxResult(res.x + 1e-6, res.y)
+        e, res, k = inject(*args)
+        return e, ProxResult(res.x + 1e-6, res.y), k
 
     def started_high(slot, z, w, rho_start, cfg):
         return forward(slot, z, w, 4.0 * rho_start, cfg)
@@ -347,15 +362,15 @@ VERIFY_TABLE_SHA256 = {
     "lasso":
         "c9fa3c85188107db7c1293acd00c5c28f3940b9d03953e2ce80c3a292abf5e81",
     "lasso_inexact":
-        "d47b009c975923217e2e884ce6a91f1851c0d2a58333206953d0e9329f26419c",
+        "3b41be97634412427b34db0435189ce6598e097a83263537f00ca1dece528330",
     "signed_sqrt":
         "b2b7f4a18a04cd35b6fd5df563a6277fe9977014b8aa4d978471fe3c4d5259f0",
     "async_seed_0":
-        "d81ae5d156caf858c8723c98125ec4fbb3430172046a2e318f74a7d7a4d325a7",
+        "2afb2f0c6c306bbf0bb0242c9fd317fb18e6b2eb64999748bf6d73fa8a0852e8",
     "async_seed_1000":
-        "922d3992d662a717f0438bbb33a6fa6e6267e29f1f5d0035f2c6e55f4e5f6c22",
+        "15b734971e39de1634dc9d641fc9b7a8a4b4bbfda45b5eebf85057abf5544897",
     "async_seed_0_tight_audit":
-        "85c7d3cfa381f6e33f3beca204ae383963f35f62db30d6a5fe41054b55c68091",
+        "2e5a5c2d78d980ab12205c4c4c8a4b56536b9a0c3dc165fd59b9f43b39fea943",
     "lasso_alpha_1.5":
         "2e460141977cf126f480bb8bd89ad32bf74e1dd52e698bb5e328fdb08d1fb0ad",
     "lasso_alpha_2.5":

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_inject_none_mode_returns_zero_error():
     op = l1_subdifferential(1.0, 1)
     gz = vec(2.0)
     base = gz + 1.0 * vec(0.0)
-    e, res = inject_error(ErrorPolicy(), None, base, op, 1.0, gz, vec(0.0))
+    e, res, _ = inject_error(ErrorPolicy(), None, base, op, 1.0, gz, vec(0.0))
     assert np.linalg.norm(e) == 0.0
     assert res.x == pytest.approx([1.0])
 
@@ -303,8 +304,9 @@ def test_inject_candidate_acceptance_worked_example():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        sigma=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
-       magnitude=st.floats(0.0, 10.0))
-def test_injected_errors_always_admissible(seed, sigma, magnitude):
+       magnitude=st.floats(0.0, sys.float_info.max),
+       start=st.integers(0, 49))
+def test_injected_errors_always_admissible(seed, sigma, magnitude, start):
     rng = np.random.default_rng(seed)
     dim = 3
     policy = ErrorPolicy(sigma=sigma, mode="seeded-random", magnitude=magnitude, seed=seed)
@@ -314,7 +316,8 @@ def test_injected_errors_always_admissible(seed, sigma, magnitude):
         w = rng.standard_normal(dim)
         rho = float(rng.uniform(0.1, 5.0))
         base = gz + rho * w
-        e, res = inject_error(policy, errors, base, op, rho, gz, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # at magnitudes near the largest float
+            e, res, _ = inject_error(policy, errors, base, op, rho, gz, w, start)
         g1, g2 = error_inequality_gaps(e, res, gz, w, rho, sigma)
         assert g1 >= -1e-12 and g2 >= -1e-12
         # the prox really was evaluated at the perturbed input
@@ -328,7 +331,7 @@ def test_sigma_zero_forces_tiny_or_zero_error():
     op = l1_subdifferential(1.0, 2)
     policy = ErrorPolicy(sigma=0.0, mode="seeded-random", magnitude=5.0, seed=42)
     gz, w = vec(0.3, -0.2), vec(0.1, 0.1)
-    e, res = inject_error(policy, np.random.default_rng(policy.seed), gz + 1.0 * w, op, 1.0, gz,
-                          w)
+    e, res, _ = inject_error(policy, np.random.default_rng(policy.seed), gz + 1.0 * w, op, 1.0,
+                             gz, w)
     g1, g2 = error_inequality_gaps(e, res, gz, w, 1.0, 0.0)
     assert g1 >= -1e-12 and g2 >= -1e-12

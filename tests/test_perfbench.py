@@ -62,4 +62,4 @@ def test_async_inexact_verify_counts(monkeypatch):
         assert all(r.passed for r in results)
         return trace, spec
 
-    assert _counts(monkeypatch, solve) == (2082, 2847, 17149)
+    assert _counts(monkeypatch, solve) == (2061, 2839, 4519)
