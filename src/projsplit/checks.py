@@ -21,8 +21,10 @@ no checking) and checks, every iteration:
 The identities are recomputed from what the engine hands over by
 reference: the inputs each updated :class:`~projsplit.engine.BlockState`
 keeps and the engine's last separator. No operator is evaluated here.
-Schedule guarantees (coverage window, staleness bound) are audited
-post-hoc from the trace records.
+Schedule guarantees (coverage window, staleness bound) are audited by
+:class:`ScheduleAudit`, a fold fed one record at a time: from the run's
+callback under ``run_with_checks``, or post hoc over a list of records by
+:func:`audit_schedule`.
 
 Each check has a fixed tolerance, a module constant below, and a
 violation per iteration that is positive when the check fails there. A
@@ -228,43 +230,71 @@ class InvariantMonitor:
         return all(r.passed for r in self.results())
 
 
-def audit_schedule(records, n: int, m_window: int, max_delay: int) -> list[CheckResult]:
-    """Post-hoc verification of the coverage and staleness guarantees.
+class ScheduleAudit:
+    """Verification of the coverage and staleness guarantees, fed one record at a time.
 
     Coverage: no block goes ``m_window`` consecutive iterations without
     being selected, counting from the start and including the tail of the
     run. Staleness: every delayed read satisfies 1 <= d <= k and
-    k - d <= max_delay.
+    k - d <= max_delay. Records are fed in iteration order; the audit keeps
+    each block's last selection, not the records.
     """
-    worst, first_failure = [0.0, 0.0], [None, None]
-    last_seen = [0] * n
-    for rec in records:
-        k = rec.iteration
-        for i in rec.selected:
+
+    def __init__(self, n: int, m_window: int, max_delay: int):
+        self.m_window = m_window
+        self.max_delay = max_delay
+        self.audited = 0
+        self._last_seen = [0] * n
+        self._worst = [0.0, 0.0]
+        self._first_failure = [None, None]
+
+    def __call__(self, record: IterationRecord):
+        k = record.iteration
+        last_seen = self._last_seen
+        for i in record.selected:
             last_seen[i] = k
         # a gap of m_window means some window of m_window consecutive
         # iterations never touched the least recently selected block
-        coverage = (k - min(last_seen)) - (m_window - 1)
+        coverage = (k - min(last_seen)) - (self.m_window - 1)
         staleness = -math.inf
-        for d in rec.delays:
-            staleness = max(staleness, (k - d) - max_delay, 1 - d)
-        _fold(worst, first_failure, (coverage, staleness), k)
-    return [CheckResult("coverage", first_failure[0] is None, worst[0], first_failure[0],
-                        f"{len(records)} iterations audited, window M={m_window}"),
-            CheckResult("staleness", first_failure[1] is None, worst[1], first_failure[1],
-                        f"max allowed staleness D={max_delay}")]
+        for d in record.delays:
+            staleness = max(staleness, (k - d) - self.max_delay, 1 - d)
+        _fold(self._worst, self._first_failure, (coverage, staleness), k)
+        self.audited += 1
+
+    def results(self) -> list[CheckResult]:
+        worst, first_failure = self._worst, self._first_failure
+        return [CheckResult("coverage", first_failure[0] is None, worst[0], first_failure[0],
+                            f"{self.audited} iterations audited, window M={self.m_window}"),
+                CheckResult("staleness", first_failure[1] is None, worst[1], first_failure[1],
+                            f"max allowed staleness D={self.max_delay}")]
+
+
+def audit_schedule(records, n: int, m_window: int, max_delay: int) -> list[CheckResult]:
+    """:class:`ScheduleAudit` over a run's records, post hoc."""
+    audit = ScheduleAudit(n, m_window, max_delay)
+    for record in records:
+        audit(record)
+    return audit.results()
 
 
 def run_with_checks(problem, reference, config, schedule=None, error_policy=None):
     """Run the engine under the invariant monitor and schedule audit.
 
     Returns ``(trace, results)`` where ``results`` combines the per-iteration
-    checks with the post-hoc schedule audit.
+    checks with the schedule audit. Both are fed each record from the run's
+    callback; an iteration whose projection failed ends the run without a
+    callback, and the audit reads its record from the trace.
     """
     engine = Engine(problem, config, schedule, error_policy)
     monitor = InvariantMonitor(problem, engine.config.gamma, reference)
-    trace = engine.run(callback=monitor)
-    results = monitor.results()
-    results += audit_schedule(trace.records, problem.n,
-                              engine.schedule.M, engine.schedule.D)
-    return trace, results
+    audit = ScheduleAudit(problem.n, engine.schedule.M, engine.schedule.D)
+
+    def check(eng, record):
+        monitor(eng, record)
+        audit(record)
+
+    trace = engine.run(callback=check)
+    for record in trace.records[audit.audited:]:
+        audit(record)
+    return trace, monitor.results() + audit.results()

@@ -65,9 +65,14 @@ checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
 :class:`BlockState` keeps and from :attr:`Engine.separator`.
 
 The iterate is a ``(z, w)`` pair: ``z`` a read-only float64 array and ``w``
-a tuple of them, one per dual block (:attr:`Engine.iterate`, the history
-entries). Block updates, the separator and the projection work on those
-arrays, and the per-iteration records are named tuples. A
+a tuple of them, one per dual block (:attr:`Engine.iterate`). Block
+updates, the separator and the projection work on those arrays. The engine
+computes w_n = -sum_i G_i* w_i once per iterate it reaches, and a history
+entry keeps it beside z and w, so a stale read of the last block reuses it.
+Each iteration writes its diagnostics into the typed columns of
+:class:`IterationRecords`, a read-only sequence that builds an
+:class:`IterationRecord` named tuple on access; a run's callback receives
+one built from the step's locals. A
 :class:`~projsplit.linalg.PrimalDualPoint` is built only for callers:
 :attr:`Engine.point` builds one on demand, and a run returns its solution
 and final point as points. Under a ``full`` schedule every block is
@@ -83,7 +88,10 @@ from the policy's seed.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -232,6 +240,79 @@ class IterationRecord(NamedTuple):
     projected: bool
 
 
+class IterationRecords(Sequence):
+    """The records of a run as typed columns: a read-only sequence of :class:`IterationRecord`.
+
+    Each iteration adds one row. Float columns hold phi, pi, alpha and the
+    two largest residuals, and per block the primal and dual residuals and
+    the stepsizes (n entries a row). Integer columns hold the iteration,
+    per block the iterate the block read (-1 when it was not selected,
+    which also gives ``selected`` and ``delays``) and its backtracks, and
+    the projected flag. That is 8*(6 + 5n) + 1 bytes a row; a named tuple
+    with its tuples and floats kept 650 to 810 bytes an iteration.
+
+    Indexing, slices, iteration, ``len``, ``==`` with a list of records and
+    ``repr`` behave as on that list; a record is built when it is read.
+    The engine appends to the columns, so its :attr:`Engine.records` grows
+    with the run, while :meth:`view` gives the rows written so far and
+    stays that length.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._stop = None
+        self.iteration = array("q")
+        self.phi, self.pi, self.alpha = array("d"), array("d"), array("d")
+        self.max_primal, self.max_dual = array("d"), array("d")
+        self.primal, self.dual, self.stepsizes = array("d"), array("d"), array("d")
+        self.reads, self.backtracks = array("q"), array("q")
+        self.projected = array("B")
+
+    def view(self) -> IterationRecords:
+        """The rows written so far, as a sequence that later rows do not extend."""
+        bounded = object.__new__(type(self))
+        bounded.__dict__.update(self.__dict__)  # shares the columns
+        bounded._stop = len(self)
+        return bounded
+
+    def __len__(self) -> int:
+        return len(self.iteration) if self._stop is None else self._stop
+
+    def _row(self, j: int) -> IterationRecord:
+        n = self.n
+        lo, hi = j * n, j * n + n
+        reads = self.reads[lo:hi]
+        selected = tuple([i for i in range(n) if reads[i] >= 0])
+        return IterationRecord(
+            self.iteration[j], self.phi[j], self.pi[j], self.alpha[j], selected,
+            tuple([reads[i] for i in selected]), tuple(self.primal[lo:hi]),
+            tuple(self.dual[lo:hi]), self.max_primal[j], self.max_dual[j],
+            tuple(self.backtracks[lo:hi]), tuple(self.stepsizes[lo:hi]),
+            bool(self.projected[j]))
+
+    def __getitem__(self, index):
+        size = len(self)
+        if isinstance(index, slice):
+            return [self._row(j) for j in range(*index.indices(size))]
+        j = operator.index(index)
+        if j < 0:
+            j += size
+        if not 0 <= j < size:
+            raise IndexError("record index out of range")
+        return self._row(j)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, IterationRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class StepOutcome(NamedTuple):
     kind: str  # "continue" | "converged" | "exact-termination" | "budget"
     solution: PrimalDualPoint | None = None
@@ -243,11 +324,17 @@ _BUDGET = StepOutcome("budget")
 
 @dataclass
 class RunTrace:
-    """Full record of a solver run."""
+    """Full record of a solver run.
+
+    ``records`` holds one :class:`IterationRecord` per iteration the run's
+    engine had recorded when the run ended, as a bounded view of the
+    engine's :class:`IterationRecords`: a later run of the same engine does
+    not extend it.
+    """
 
     status: str  # "converged" | "exact-termination" | "budget" | "assumption-violation"
     iterations: int
-    records: list[IterationRecord]
+    records: IterationRecords
     solution: PrimalDualPoint | None
     final_point: PrimalDualPoint
     message: str = ""
@@ -502,15 +589,14 @@ class Engine:
         self._dim = problem.dim
         self._point = PrimalDualPoint(problem.z_init, problem.w_init)
         self.iterate = self._point.arrays
+        self._wn = None  # w_n of the iterate, formed by the first step that reads it
         # a full schedule selects every block at every iteration, and with
         # zero delay every read is of the current iterate
         sched = self.schedule
         self._every_block = tuple(range(n)) if sched.kind == "full" else None
         self._zero_delay = sched.delay_kind == "zero" or sched.D == 0
-        self.history = None
-        if not self._zero_delay:
-            self.history = HistoryBuffer(sched.D)
-            self.history.store(1, self.iterate)
+        # (z, w, w_n) of the last D + 1 iterates, each stored by the step that reads it
+        self.history = None if self._zero_delay else HistoryBuffer(sched.D)
         # placeholders (G_i z1, 0), not in gra T_i: marking every block
         # overdue makes select_blocks replace them all at iteration 1, so
         # the separator only ever sees pairs in the graphs
@@ -520,7 +606,10 @@ class Engine:
         self.last_selected = [1 - sched.M] * n
         self.k = 0
         self.separator: SeparatorEval | None = None
-        self.records: list[IterationRecord] = []
+        self.records = IterationRecords(n)
+        # set by run when a callback wants each step's record, built in step
+        self._emit = False
+        self._record: IterationRecord | None = None
 
     @property
     def point(self) -> PrimalDualPoint:
@@ -540,6 +629,14 @@ class Engine:
         last = n - 1
         slots, blocks = self.slots, self.blocks
         z, w = p = self.iterate
+        # iterate k is the current point, so a zero-delay read of the last
+        # block shares w_n with the dual residual below; a history entry
+        # keeps it for the stale reads of later steps
+        wn = self._wn
+        if wn is None:
+            wn = self._wn = dual_sum(w, self._maps, self._dim)
+        if self.history is not None:
+            self.history.store(k, (z, w, wn))
 
         selected = self._every_block
         if selected is None:
@@ -550,19 +647,16 @@ class Engine:
             delays = (k,) * len(selected)
         else:
             delays = tuple([delayed_index(self.schedule, i, k) for i in selected])
-        # iterate k is the current point, so a zero-delay read of the last
-        # block shares w_n with the dual residual below
-        wn = dual_sum(w, self._maps, self._dim)
-        fresh = []  # blocks updated from iterate k
+        reads = [-1] * n  # the iterate each block read, -1 if not selected
         for i, d in zip(selected, delays):
             slot = slots[i]
+            reads[i] = d
             if d == k:
-                fresh.append(i)
                 z_d = z
                 w_d = w[i] if i < last else wn
             else:
-                z_d, w_stale = self.history.read(d)
-                w_d = w_stale[i] if i < last else dual_sum(w_stale, self._maps, self._dim)
+                z_d, w_stale, wn_stale = self.history.read(d)
+                w_d = w_stale[i] if i < last else wn_stale
             try:
                 if slot.kind == "backward":
                     h = blocks[i].halvings
@@ -581,11 +675,13 @@ class Engine:
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
 
         # residuals ||G_i z - x_i|| and ||y_i - w_i||; a block updated from
-        # iterate k formed them in its update
-        primal, dual, backtracks, stepsizes = [], [], [], []
+        # iterate k formed them in its update. The row lists are filled in
+        # place and their maxima kept as max() keeps them (the first largest),
+        # so the row costs no calls but one per record column
+        primal, dual, backtracks, stepsizes = [0.0] * n, [0.0] * n, [0] * n, [0.0] * n
         for i in range(n):
             b = blocks[i]
-            if i in fresh:
+            if reads[i] == k:
                 r_primal, r_dual = b.residuals
             else:
                 g = slots[i].map
@@ -593,19 +689,38 @@ class Engine:
                 r_primal = math.sqrt(r.dot(r))
                 r = b.y - (w[i] if i < last else wn)
                 r_dual = math.sqrt(r.dot(r))
-            primal.append(r_primal)
-            dual.append(r_dual)
-            backtracks.append(b.backtracks if i in selected else 0)
-            stepsizes.append(b.rho)
-        max_primal, max_dual = max(primal), max(dual)
+            primal[i], dual[i] = r_primal, r_dual
+            if i == 0 or r_primal > max_primal:
+                max_primal = r_primal
+            if i == 0 or r_dual > max_dual:
+                max_dual = r_dual
+            if reads[i] >= 0:
+                backtracks[i] = b.backtracks
+            stepsizes[i] = b.rho
 
         exact = sep.pi <= cfg.pi_zero_eps
         converged = not exact and max_primal <= cfg.tol_primal and max_dual <= cfg.tol_dual
+        projected = not (exact or converged)
 
-        self.records.append(IterationRecord(
-            k, sep.phi_at_p, sep.pi, sep.alpha, selected, delays, tuple(primal),
-            tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes),
-            not (exact or converged)))
+        # one row of the record columns
+        rec = self.records
+        rec.iteration.append(k)
+        rec.phi.append(sep.phi_at_p)
+        rec.pi.append(sep.pi)
+        rec.alpha.append(sep.alpha)
+        rec.max_primal.append(max_primal)
+        rec.max_dual.append(max_dual)
+        rec.primal.extend(primal)
+        rec.dual.extend(dual)
+        rec.stepsizes.extend(stepsizes)
+        rec.reads.extend(reads)
+        rec.backtracks.extend(backtracks)
+        rec.projected.append(projected)
+        if self._emit:
+            self._record = IterationRecord(
+                k, sep.phi_at_p, sep.pi, sep.alpha, selected, delays, tuple(primal),
+                tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes),
+                projected)
 
         if exact:
             solution = PrimalDualPoint(Vec(blocks[-1].x),
@@ -618,9 +733,7 @@ class Engine:
         except NonFiniteError as exc:
             raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         if new is not p:
-            self.iterate, self._point = new, None
-        if self.history is not None:
-            self.history.store(k + 1, self.iterate)
+            self.iterate, self._point, self._wn = new, None, None
         return _CONTINUE
 
     def run(self, callback=None) -> RunTrace:
@@ -631,23 +744,29 @@ class Engine:
         ``assumption-violation`` and a message that names the iteration, the
         block and its operator; they do not raise. ``callback(engine,
         record)`` fires after every completed iteration, once the projection
-        (if any) has been applied.
+        (if any) has been applied; the step builds ``record`` from its own
+        values, and it equals ``engine.records[-1]``. The trace's ``records``
+        are those of the engine when the run ends.
         """
         t0 = time.perf_counter()
         status, solution, message = "budget", None, ""
+        self._emit = callback is not None
         try:
             while True:
                 out = self.step()
                 if out.kind == "budget":
                     break
                 if callback is not None:
-                    callback(self, self.records[-1])
+                    callback(self, self._record)
                 if out.kind != "continue":
                     status, solution = out.kind, out.solution
                     break
         except AssumptionViolationError as exc:
             status, message = "assumption-violation", str(exc)
-        return RunTrace(status=status, iterations=len(self.records), records=self.records,
+        finally:
+            self._emit, self._record = False, None
+        records = self.records.view()
+        return RunTrace(status=status, iterations=len(records), records=records,
                         solution=solution, final_point=self.point, message=message,
                         wall_time=time.perf_counter() - t0)
 

@@ -11,6 +11,7 @@ from projsplit import (ConfigError, Engine, EngineConfig, ErrorPolicy, Invariant
                        audit_schedule, build, make_skew_composed, parse_config, prox_eval,
                        run_with_checks, zero_op)
 from projsplit.engine import IterationRecord
+from projsplit.errors import NonFiniteError
 from projsplit.operators import ProxResult
 
 
@@ -282,6 +283,28 @@ def test_async_run_passes_audit():
     named = _results_by_name(results)
     assert named["coverage"].passed and named["coverage"].worst <= 0.0
     assert named["staleness"].passed and named["staleness"].worst <= 0.0
+
+
+def test_the_audit_fed_during_the_run_audits_every_record(monkeypatch):
+    # run_with_checks feeds the audit from the run's callback; the record of
+    # an iteration whose projection fails reaches no callback, so the audit
+    # reads it from the trace
+    spec, ref = build("box_cubic", {})
+    sched = SchedulePolicy(kind="seeded-random", p_select=0.5, M=3, D=2,
+                           delay_kind="seeded-random", seed=11)
+    project, calls = projsplit.engine.project, [0]
+
+    def failing_fifth(p, sep, gamma):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
+        return project(p, sep, gamma)
+
+    monkeypatch.setattr(projsplit.engine, "project", failing_fifth)
+    trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=100), sched)
+    assert trace.status == "assumption-violation" and trace.iterations == 5
+    assert results[-2].detail == "5 iterations audited, window M=3"
+    assert _rows(results[-2:]) == _rows(audit_schedule(trace.records, spec.n, 3, 2))
 
 
 # -- the verify tables, pinned -------------------------------------------------

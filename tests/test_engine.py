@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import affine_value, update_gap
 from projsplit.engine import (BlockState, OperatorSlot, backward_update, evaluate_separator,
                               forward_update_with_backtrack, project)
+from projsplit.scheduler import _selection_table
 
 
 def vec(*entries):
@@ -337,6 +340,138 @@ def test_run_statuses_and_trace_shape():
     assert trace.max_primal_residual <= 1e-6
     assert trace.max_dual_residual <= 1e-6
     assert trace.records[0].iteration == 1
+
+
+# -- records ------------------------------------------------------------------
+
+def test_a_second_run_leaves_the_first_trace_as_it_was():
+    # a trace once held the engine's live records: a second run grew the
+    # first trace to 645 records and its residuals read the 645th
+    spec, _ = build("lasso", {"m": 20, "d": 50})
+    eng = Engine(spec, EngineConfig(max_iters=5000))
+    first = eng.run()
+    assert first.status == "converged" and first.iterations == 644
+    last, residuals = first.records[-1], (first.max_primal_residual, first.max_dual_residual)
+    second = eng.run()
+    assert second.iterations == len(second.records) == len(eng.records) == 645
+    assert len(first.records) == first.iterations == 644
+    assert first.records[-1] == last and last.iteration == 644
+    assert (first.max_primal_residual, first.max_dual_residual) == residuals
+    assert second.records[:644] == first.records
+
+
+def _async_skew_engine(max_iters=20000):
+    """perfbench's async_inexact_verify instance, schedule and errors at seed 0, unchecked."""
+    spec, _ = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=0)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
+    return Engine(spec, EngineConfig(max_iters=max_iters), schedule, errors)
+
+
+def _selection_kinds(policy, n, calls):
+    """Iterations whose selection forced an overdue block in, and those of the argmin fallback.
+
+    ``calls`` holds (k, last_selected before the call) per select_blocks call.
+    """
+    forced, fallback = set(), set()
+    for k, last in calls:
+        draws = _selection_table(policy.seed, (k - 1) // 256, n)[(k - 1) % 256]
+        drawn = [i for i in range(n) if draws[i] < policy.p_select]
+        overdue = [i for i in range(n) if k - last[i] >= policy.M and i not in drawn]
+        if overdue:
+            forced.add(k)
+        elif not drawn:
+            fallback.add(k)
+    return forced, fallback
+
+
+def test_records_behave_like_the_list_of_the_callbacks_records(monkeypatch):
+    # the callback's records are built from the step's locals, the trace's
+    # from the columns; a sparse selection with delays exercises both the
+    # forced-in blocks and the one-block fallback of select_blocks
+    spec, _ = make_skew_composed(1234, (8, 6, 10))
+    policy = SchedulePolicy(kind="seeded-random", p_select=0.15, M=4, D=2,
+                            delay_kind="seeded-random", seed=3)
+    calls = []
+    select = projsplit.engine.select_blocks
+
+    def spied(policy, n, k, last_selected):
+        calls.append((k, list(last_selected)))
+        return select(policy, n, k, last_selected)
+
+    monkeypatch.setattr(projsplit.engine, "select_blocks", spied)
+    eng = Engine(spec, EngineConfig(max_iters=300), policy)
+    rows = []
+    trace = eng.run(callback=lambda engine, record: rows.append(record))
+    forced, fallback = _selection_kinds(policy.resolved(spec.n), spec.n, calls)
+    assert trace.status == "budget" and len(forced) > 20 and len(fallback) > 20
+    assert any(trace.records[k - 1].delays != (k,) for k in fallback)
+
+    for records in (trace.records, eng.records):
+        assert len(records) == len(rows) == 300
+        assert records[-1] == rows[-1] and records[-300] == rows[0] and records[7] == rows[7]
+        for part in (slice(3, 17, 2), slice(None, None, -5), slice(-4, None), slice(5, 2)):
+            assert records[part] == rows[part]
+        assert list(records) == rows and [r for r in records] == rows
+        assert records == rows and rows == records and records == trace.records
+        assert records != rows[:-1] and records != rows[::-1] and records != tuple(rows)
+        assert repr(records) == repr(rows)
+        for index in (300, -301):
+            with pytest.raises(IndexError):
+                records[index]
+    assert rows[-1].max_primal_residual == trace.max_primal_residual
+
+
+def test_async_records_are_those_of_the_named_tuple_list():
+    # sha256 of repr(trace.records) for the verify table's async_seed_0 run,
+    # as a list of IterationRecord named tuples gave it
+    spec, ref = make_skew_composed(1234, (8, 6, 10))
+    eng = _async_skew_engine()
+    checked, _ = run_with_checks(spec, ref, eng.config, eng.schedule, eng.error_policy)
+    assert checked.iterations == 2061
+    assert hashlib.sha256(repr(checked.records).encode()).hexdigest() == (
+        "0172a4dc488684e99cd1d27eed3b3e36c77023f70e392793f62bda4eb358ab85")
+    assert eng.run().records == checked.records
+
+
+@pytest.mark.parametrize("iterations", [500, 2000])
+def test_a_run_keeps_at_most_200_bytes_per_iteration(iterations):
+    # bytes the trace of an async run keeps, at two run lengths: 8*(6 + 5n)
+    # + 1 = 169 at n = 3 in the columns, plus their spare room (about 810
+    # per iteration with an IterationRecord of tuples and floats each)
+    _async_skew_engine(iterations).run()  # fills the process's draw and resolvent caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eng = _async_skew_engine(iterations)
+        trace = eng.run()
+        del eng
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.status == "budget" and trace.iterations == iterations
+    assert kept <= 200 * iterations, kept / iterations
+
+
+def test_stale_reads_of_the_last_block_reuse_the_stored_w_n(monkeypatch):
+    # w_n is formed once per iterate the run reaches and kept in its history
+    # entry (2,889 dual sums when every step and every stale read of the
+    # last block formed its own)
+    calls = [0]
+    original = projsplit.engine.dual_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(projsplit.engine, "dual_sum", counted)
+    trace = _async_skew_engine().run()
+    moved = sum(r.projected and r.alpha != 0.0 for r in trace.records)
+    assert trace.status == "converged" and trace.iterations == 2061
+    assert calls[0] == 1 + moved == 1657
 
 
 def test_run_backtrack_limit_becomes_assumption_violation():

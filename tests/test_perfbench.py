@@ -15,12 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from projsplit import (EngineConfig, ErrorPolicy, SchedulePolicy, make_signed_sqrt,
                        make_skew_composed, operators, run, run_with_checks)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_perfbench_selftest_passes():
     out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                          cwd=ROOT, capture_output=True, text=True, timeout=600)

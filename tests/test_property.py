@@ -200,6 +200,7 @@ def configs_with_one_json_value(draw):
     return doc
 
 
+@pytest.mark.slow
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(doc=configs_with_one_json_value())
 def test_any_json_value_anywhere_ends_in_an_exit_code(doc):

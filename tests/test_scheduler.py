@@ -151,6 +151,7 @@ def test_runs_across_chunks_pass_the_schedule_audit():
     assert all(r.passed for r in results), [r.line() for r in results]
 
 
+@pytest.mark.slow
 def test_long_simulation_builds_one_generator_per_chunk_and_table(monkeypatch):
     n, iters = 64, 10 ** 5
     built = [0]
