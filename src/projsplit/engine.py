@@ -69,10 +69,10 @@ a tuple of them, one per dual block (:attr:`Engine.iterate`). Block
 updates, the separator and the projection work on those arrays. The engine
 computes w_n = -sum_i G_i* w_i once per iterate it reaches, and a history
 entry keeps it beside z and w, so a stale read of the last block reuses it.
-Each iteration writes its diagnostics into the typed columns of
-:class:`IterationRecords`, a read-only sequence that builds an
+Each iteration writes its diagnostics as one float row and one integer row
+of :class:`IterationRecords`, a read-only sequence that builds an
 :class:`IterationRecord` named tuple on access; a run's callback receives
-one built from the step's locals. A
+one built by the same function from the two rows the step wrote. A
 :class:`~projsplit.linalg.PrimalDualPoint` is built only for callers:
 :attr:`Engine.point` builds one on demand, and a run returns its solution
 and final point as points. Under a ``full`` schedule every block is
@@ -240,55 +240,59 @@ class IterationRecord(NamedTuple):
     projected: bool
 
 
-class IterationRecords(Sequence):
-    """The records of a run as typed columns: a read-only sequence of :class:`IterationRecord`.
+def _record_from_rows(floats, ints, n: int) -> IterationRecord:
+    """The :class:`IterationRecord` of one float row and one integer row of n blocks.
 
-    Each iteration adds one row. Float columns hold phi, pi, alpha and the
-    two largest residuals, and per block the primal and dual residuals and
-    the stepsizes (n entries a row). Integer columns hold the iteration,
-    per block the iterate the block read (-1 when it was not selected,
-    which also gives ``selected`` and ``delays``) and its backtracks, and
-    the projected flag. That is 8*(6 + 5n) + 1 bytes a row; a named tuple
-    with its tuples and floats kept 650 to 810 bytes an iteration.
+    The float row is phi, pi, alpha, the two largest residuals, then per
+    block the primal residuals, the dual residuals and the stepsizes. The
+    integer row is the iteration, the projected flag, then per block the
+    iterate the block read (-1 when it was not selected, which also gives
+    ``selected`` and ``delays``) and its backtracks.
+    """
+    reads = ints[2:2 + n]
+    selected = tuple([i for i in range(n) if reads[i] >= 0])
+    return IterationRecord(
+        ints[0], floats[0], floats[1], floats[2], selected,
+        tuple([reads[i] for i in selected]), tuple(floats[5:5 + n]),
+        tuple(floats[5 + n:5 + 2 * n]), floats[3], floats[4], tuple(ints[2 + n:]),
+        tuple(floats[5 + 2 * n:]), bool(ints[1]))
+
+
+class IterationRecords(Sequence):
+    """The records of a run as typed rows: a read-only sequence of :class:`IterationRecord`.
+
+    Each iteration appends a float row of 5 + 3n entries and an integer row
+    of 2 + 2n entries, laid out as :func:`_record_from_rows` reads them. That
+    is 8*(7 + 5n) bytes an iteration; a named tuple with its tuples and
+    floats kept 650 to 810 bytes an iteration.
 
     Indexing, slices, iteration, ``len``, ``==`` with a list of records and
     ``repr`` behave as on that list; a record is built when it is read.
-    The engine appends to the columns, so its :attr:`Engine.records` grows
-    with the run, while :meth:`view` gives the rows written so far and
-    stays that length.
+    The engine extends the rows, so its :attr:`Engine.records` grows with
+    the run, while :meth:`view` gives the rows written so far and stays
+    that length.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._stop = None
-        self.iteration = array("q")
-        self.phi, self.pi, self.alpha = array("d"), array("d"), array("d")
-        self.max_primal, self.max_dual = array("d"), array("d")
-        self.primal, self.dual, self.stepsizes = array("d"), array("d"), array("d")
-        self.reads, self.backtracks = array("q"), array("q")
-        self.projected = array("B")
+        self._float_width, self._int_width = 5 + 3 * n, 2 + 2 * n
+        self.floats, self.ints = array("d"), array("q")
 
     def view(self) -> IterationRecords:
         """The rows written so far, as a sequence that later rows do not extend."""
         bounded = object.__new__(type(self))
-        bounded.__dict__.update(self.__dict__)  # shares the columns
+        bounded.__dict__.update(self.__dict__)  # shares the rows
         bounded._stop = len(self)
         return bounded
 
     def __len__(self) -> int:
-        return len(self.iteration) if self._stop is None else self._stop
+        return len(self.ints) // self._int_width if self._stop is None else self._stop
 
     def _row(self, j: int) -> IterationRecord:
-        n = self.n
-        lo, hi = j * n, j * n + n
-        reads = self.reads[lo:hi]
-        selected = tuple([i for i in range(n) if reads[i] >= 0])
-        return IterationRecord(
-            self.iteration[j], self.phi[j], self.pi[j], self.alpha[j], selected,
-            tuple([reads[i] for i in selected]), tuple(self.primal[lo:hi]),
-            tuple(self.dual[lo:hi]), self.max_primal[j], self.max_dual[j],
-            tuple(self.backtracks[lo:hi]), tuple(self.stepsizes[lo:hi]),
-            bool(self.projected[j]))
+        fw, iw = self._float_width, self._int_width
+        return _record_from_rows(self.floats[j * fw:j * fw + fw], self.ints[j * iw:j * iw + iw],
+                                self.n)
 
     def __getitem__(self, index):
         size = len(self)
@@ -675,9 +679,9 @@ class Engine:
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
 
         # residuals ||G_i z - x_i|| and ||y_i - w_i||; a block updated from
-        # iterate k formed them in its update. The row lists are filled in
-        # place and their maxima kept as max() keeps them (the first largest),
-        # so the row costs no calls but one per record column
+        # iterate k formed them in its update. The per-block lists are filled
+        # in place and their maxima kept as max() keeps them (the first
+        # largest), so the rows cost no calls but their two writes
         primal, dual, backtracks, stepsizes = [0.0] * n, [0.0] * n, [0] * n, [0.0] * n
         for i in range(n):
             b = blocks[i]
@@ -702,25 +706,14 @@ class Engine:
         converged = not exact and max_primal <= cfg.tol_primal and max_dual <= cfg.tol_dual
         projected = not (exact or converged)
 
-        # one row of the record columns
-        rec = self.records
-        rec.iteration.append(k)
-        rec.phi.append(sep.phi_at_p)
-        rec.pi.append(sep.pi)
-        rec.alpha.append(sep.alpha)
-        rec.max_primal.append(max_primal)
-        rec.max_dual.append(max_dual)
-        rec.primal.extend(primal)
-        rec.dual.extend(dual)
-        rec.stepsizes.extend(stepsizes)
-        rec.reads.extend(reads)
-        rec.backtracks.extend(backtracks)
-        rec.projected.append(projected)
+        # the iteration's float row and integer row, laid out as _record_from_rows reads them
+        floats = [sep.phi_at_p, sep.pi, sep.alpha, max_primal, max_dual, *primal, *dual,
+                  *stepsizes]
+        ints = [k, projected, *reads, *backtracks]
+        self.records.floats.extend(floats)
+        self.records.ints.extend(ints)
         if self._emit:
-            self._record = IterationRecord(
-                k, sep.phi_at_p, sep.pi, sep.alpha, selected, delays, tuple(primal),
-                tuple(dual), max_primal, max_dual, tuple(backtracks), tuple(stepsizes),
-                projected)
+            self._record = _record_from_rows(floats, ints, n)
 
         if exact:
             solution = PrimalDualPoint(Vec(blocks[-1].x),
@@ -744,8 +737,8 @@ class Engine:
         ``assumption-violation`` and a message that names the iteration, the
         block and its operator; they do not raise. ``callback(engine,
         record)`` fires after every completed iteration, once the projection
-        (if any) has been applied; the step builds ``record`` from its own
-        values, and it equals ``engine.records[-1]``. The trace's ``records``
+        (if any) has been applied; the step builds ``record`` from the rows
+        it wrote, and it equals ``engine.records[-1]``. The trace's ``records``
         are those of the engine when the run ends.
         """
         t0 = time.perf_counter()

@@ -201,17 +201,20 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
     e = (direction / nrm) * (policy.magnitude * 0.5 ** start)
 
     sigma = policy.sigma
-    for k in range(start, _MAX_HALVINGS):
-        a = base_input + e
-        a.setflags(write=False)
-        result = prox_eval(op, rho, a)
-        # error_inequality_gaps, with the second gap formed only when the first holds
-        gz_minus_x = z_block - result.x
-        if gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x) >= 0.0:
-            y_minus_w = result.y - w_block
-            if rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w) >= 0.0:
-                return e, result, k
-        e = 0.5 * e
+    # the gaps of a scale too large overflow to inf or NaN, which fails the
+    # test and rejects the scale; numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, _MAX_HALVINGS):
+            a = base_input + e
+            a.setflags(write=False)
+            result = prox_eval(op, rho, a)
+            # error_inequality_gaps, with the second gap formed only when the first holds
+            gz_minus_x = z_block - result.x
+            if gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x) >= 0.0:
+                y_minus_w = result.y - w_block
+                if rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w) >= 0.0:
+                    return e, result, k
+            e = 0.5 * e
 
     return zero, prox_eval(op, rho, base_input), 0
 

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,11 +116,23 @@ def test_largest_error_magnitudes_stay_finite(magnitude):
     # iteration 1); the error is the unit direction times magnitude
     spec, ref = build("lasso", {})
     policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=magnitude, seed=3)
-    with np.errstate(over="ignore", invalid="ignore"):  # in the gaps of rejected scales
-        trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=5000),
-                                         error_policy=policy)
+    trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=5000),
+                                     error_policy=policy)
     assert trace.status == "converged", trace.message
     assert all(r.passed for r in results)
+
+
+def test_a_hopeless_error_magnitude_rejects_its_scales_without_warnings():
+    # the gaps of scales too large to admit overflowed to inf or NaN, and
+    # numpy warned on each: 128,800 RuntimeWarnings in this run. Every scale
+    # is rejected, so the run is the error-free one
+    spec, _ = build("lasso", {"m": 20, "d": 50})
+    policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=1.7e308, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = Engine(spec, EngineConfig(max_iters=5000), error_policy=policy).run()
+    assert trace.status == "converged", trace.message
+    assert trace.records == Engine(spec, EngineConfig(max_iters=5000)).run().records
 
 
 def test_default_initial_pairs_do_not_break_separation():
