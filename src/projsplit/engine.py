@@ -23,20 +23,17 @@ trial stepsize stays bounded above by rho_init, which is all the
 convergence theory asks of them. The first search begins at rho_init,
 since initial block states carry rho = rho_init.
 
-A backward block's prox-error search is warm-started the same way. Under
+A backward block's prox-error search is warm-started too. Under
 ``seeded-random`` errors a draw is tried at the scales magnitude * 2^-k
 for k = k0, k0 + 1, ... up to an absolute floor of 50 scales (see
-:class:`~projsplit.operators.ErrorPolicy`). The search begins at
-
-    k0 = h_prev - 1 if h_prev > 0 else 0,
-
-one halving above the scale the block accepted last time (h_prev, kept in
-its state as ``halvings``), so its first scale is
-min(magnitude, 2 * last accepted scale). The admissible error shrinks as
-the run converges, and without the warm start most resolvent evaluations
-would be rejected halvings. A zero fallback stores index 0, so the next
-search starts at magnitude again. A block whose policy injects nothing
-evaluates its resolvent once per update.
+:class:`~projsplit.operators.ErrorPolicy`). The search begins at k0 =
+h_prev, the index the block accepted last time (kept in its state as
+``halvings``). The admissible error shrinks as the run converges, so
+without the warm start most resolvent evaluations would be rejected
+halvings; with it, an update costs one resolvent evaluation whenever the
+last accepted scale is admissible again. A zero fallback stores index 0,
+so the next search starts at magnitude again. A block whose policy
+injects nothing evaluates its resolvent once per update.
 
 The block results define an affine separator that is nonpositive on the
 solution set; the iterate is then projected onto its zero hyperplane,
@@ -66,9 +63,15 @@ checked by :class:`projsplit.checks.InvariantMonitor` from the inputs each
 
 The iterate is a ``(z, w)`` pair: ``z`` a read-only float64 array and ``w``
 a tuple of them, one per dual block (:attr:`Engine.iterate`). Block
-updates, the separator and the projection work on those arrays. The engine
-computes w_n = -sum_i G_i* w_i once per iterate it reaches, and a history
-entry keeps it beside z and w, so a stale read of the last block reuses it.
+updates, the separator and the projection work on those arrays. Each map
+product is formed once per value. The engine forms G_i z for every block
+and w_n = -sum_i G_i* w_i once per iterate it reaches; the updates that
+read that iterate and the residuals use them, and its history entry
+``(G z, w, w_n)`` keeps them for stale reads (G z holds one read-only
+array per block, the last block's being z itself). The block updates take
+G z and apply no map. The separator keeps G_i x_n while the last block's
+state is unchanged and G_i* y_i while block i's is
+(:class:`SeparatorProducts`).
 Each iteration writes its diagnostics as one float row and one integer row
 of :class:`IterationRecords`, a read-only sequence that builds an
 :class:`IterationRecord` named tuple on access; a run's callback receives
@@ -171,11 +174,14 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class OperatorSlot:
-    """Static per-block wiring: operator, composition map, update kind."""
+    """Static per-block wiring: operator and update kind.
+
+    The block's composition map stays with the problem: the engine forms
+    G z once per iterate and hands the update G z itself.
+    """
 
     index: int
     op: object
-    map: object
     kind: str  # "forward" | "backward"
     rho_init: float
 
@@ -191,8 +197,10 @@ class BlockState(NamedTuple):
     computed anyway; the engine records it when the update read the current
     iterate. Initial states leave these fields None. ``halvings`` is the
     scale index of a backward update's error (u * magnitude * 2^-halvings
-    for a unit direction u; 0 for a zero error), from which the block's
-    next error search starts; it is 0 for other states.
+    for a unit direction u; 0 for a zero error), at which the block's next
+    error search starts; it is 0 for other states. A state is never
+    changed once made, so the separator reuses the map products of a block
+    whose state is the same object.
     """
 
     x: np.ndarray
@@ -357,32 +365,32 @@ class RunTrace:
 # block updates
 # ---------------------------------------------------------------------------
 
-def backward_update(slot: OperatorSlot, z_delayed: np.ndarray, w_delayed: np.ndarray,
+def backward_update(slot: OperatorSlot, theta: np.ndarray, w_delayed: np.ndarray,
                     rho: float, error_policy: ErrorPolicy,
                     rng: np.random.Generator | None, start: int = 0) -> BlockState:
-    """Resolvent step at input G z + rho*w + e with an admissible error e drawn from ``rng``.
+    """Resolvent step at input theta + rho*w + e with an admissible error e drawn from ``rng``.
 
-    The error search begins at scale index ``start`` (see
-    :func:`~projsplit.operators.inject_error`); the state keeps the accepted
-    index as ``halvings``.
+    ``theta`` is G z at the (possibly stale) iterate the block reads; the
+    update applies no map. The error search begins at scale index ``start``
+    (see :func:`~projsplit.operators.inject_error`); the state keeps the
+    accepted index as ``halvings``, and the engine starts the block's next
+    search there.
     """
-    g = slot.map
-    gz = z_delayed if g.matrix is None else g.apply(z_delayed)
-    base = gz + rho * w_delayed
+    base = theta + rho * w_delayed
     base.setflags(write=False)
-    e, (x, y), k = inject_error(error_policy, rng, base, slot.op, rho, gz, w_delayed, start)
-    r, s = gz - x, y - w_delayed
-    return BlockState(x, y, rho, k, 0, gz, w_delayed, None, e,
+    e, (x, y), k = inject_error(error_policy, rng, base, slot.op, rho, theta, w_delayed, start)
+    r, s = theta - x, y - w_delayed
+    return BlockState(x, y, rho, k, 0, theta, w_delayed, None, e,
                       (math.sqrt(r.dot(r)), math.sqrt(s.dot(s))))
 
 
 _FLOAT = np.dtype(float)
 
 
-def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
+def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
                                   w_delayed: np.ndarray, rho_init: float,
                                   config: EngineConfig) -> BlockState:
-    """Two-evaluation step with geometric backtracking.
+    """Two-evaluation step with geometric backtracking from ``theta`` = G z.
 
     If T(G z) already matches w (to quickstop tolerance) the pair is
     accepted immediately with the initial stepsize and a count of zero.
@@ -394,9 +402,10 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
     wrong-shaped T(G z) or T(x~) a :class:`~projsplit.errors.ShapeError`.
 
-    ``z_delayed`` and ``w_delayed`` must be read-only, as the engine's
-    iterate arrays are: the operator receives G z itself and each trial
-    point made read-only, with no view per call. An output that is not a
+    ``theta`` is G z at the (possibly stale) iterate the block reads; the
+    update applies no map. ``theta`` and ``w_delayed`` must be read-only, as
+    the engine's arrays are: the operator receives theta itself and each
+    trial point made read-only, with no view per call. An output that is not a
     float64 vector of the block's dimension goes through
     :func:`~projsplit.linalg.checked_entries`, which converts it or raises.
     The finiteness of a float64 vector output is read off the dot products
@@ -406,16 +415,11 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
     returned state carries the block's residuals, from the accepted
     theta - x~ and T(x~) - w, or 0 and ||drift|| after a quickstop.
     """
-    op, g = slot.op, slot.map
+    op = slot.op
     fwd, dim = op._forward, op.dim
     if fwd is None:
         raise CapabilityError(f"operator '{op.name}' is not forward-evaluable")
     shape = (dim,)
-    if g.matrix is None:
-        theta = z_delayed
-    else:
-        theta = g.apply(z_delayed)
-        theta.setflags(write=False)
     zeta = fwd(theta)
     if zeta.__class__ is not np.ndarray or zeta.shape != shape or zeta.dtype is not _FLOAT:
         zeta = checked_entries(dim, zeta)
@@ -463,7 +467,24 @@ def forward_update_with_backtrack(slot: OperatorSlot, z_delayed: np.ndarray,
 # separator and projection
 # ---------------------------------------------------------------------------
 
-def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> SeparatorEval:
+class SeparatorProducts:
+    """The map products of :func:`evaluate_separator`, kept between iterations.
+
+    ``images[i]`` is G_i x_n for the last block's state ``last``, and
+    ``adjoints[i]`` is G_i* y_i for block i's state ``states[i]``. A block
+    update makes a new :class:`BlockState` and never writes into one, so a
+    product stays valid while its block's state is the same object.
+    """
+
+    __slots__ = ("last", "images", "states", "adjoints")
+
+    def __init__(self, n_maps: int):
+        self.last = None
+        self.images, self.states, self.adjoints = [None] * n_maps, [None] * n_maps, [None] * n_maps
+
+
+def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0,
+                       products: SeparatorProducts | None = None) -> SeparatorEval:
     """Assemble the affine separator at the iterate ``p = (z, w)`` from the block values.
 
     u_i = x_i - G_i x_n and v = sum_i G_i* y_i + y_n form its gradient;
@@ -476,10 +497,22 @@ def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> Sepa
     Raises :class:`~projsplit.errors.NonFiniteError` when pi or phi is not
     finite: a block value overflowed or is NaN/Inf, and the steplength
     would be meaningless.
+
+    ``products``, kept by the caller from one call to the next, holds the
+    map products of the states the last call read: G_i x_n is formed again
+    only when the last block's state changed, and G_i* y_i only when block
+    i's did. The sums are formed in the same order either way, so the
+    result keeps its bits.
     """
     z, w = p
+    if products is None:
+        products = SeparatorProducts(len(blocks) - 1)
     last = blocks[-1]
     x_n = last.x
+    fresh_last = products.last is not last
+    if fresh_last:
+        products.last = last
+    images, states, adjoints = products.images, products.states, products.adjoints
     u = []
     v = np.zeros(last.y.shape[0])
     uu = 0.0
@@ -489,8 +522,12 @@ def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0) -> Sepa
             ui = b.x - x_n
             v = v + b.y
         else:
-            ui = b.x - g.apply(x_n)
-            v = v + g.apply_adjoint(b.y)
+            if fresh_last:
+                images[i] = g.apply(x_n)
+            if states[i] is not b:
+                states[i], adjoints[i] = b, g.apply_adjoint(b.y)
+            ui = b.x - images[i]
+            v = v + adjoints[i]
         u.append(ui)
         uu += ui.dot(ui)
     v = v + last.y
@@ -581,10 +618,8 @@ class Engine:
 
         n = self._n = problem.n
         rho = self.config.resolve_rho(n)
-        ident = problem.identity_map()
         self.slots = [
             OperatorSlot(index=i, op=problem.operators[i],
-                         map=problem.maps[i] if i < n - 1 else ident,
                          kind="forward" if i in problem.forward_blocks else "backward",
                          rho_init=rho[i])
             for i in range(n)
@@ -593,20 +628,23 @@ class Engine:
         self._dim = problem.dim
         self._point = PrimalDualPoint(problem.z_init, problem.w_init)
         self.iterate = self._point.arrays
-        self._wn = None  # w_n of the iterate, formed by the first step that reads it
+        # (G z, w, w_n) of the iterate, formed by the first step that reads it
+        self._entry = None
         # a full schedule selects every block at every iteration, and with
         # zero delay every read is of the current iterate
         sched = self.schedule
         self._every_block = tuple(range(n)) if sched.kind == "full" else None
         self._zero_delay = sched.delay_kind == "zero" or sched.D == 0
-        # (z, w, w_n) of the last D + 1 iterates, each stored by the step that reads it
+        # (G z, w, w_n) of the last D + 1 iterates, each stored by the step that reads it
         self.history = None if self._zero_delay else HistoryBuffer(sched.D)
+        self._products = None  # the separator's SeparatorProducts, made by the first step
         # placeholders (G_i z1, 0), not in gra T_i: marking every block
         # overdue makes select_blocks replace them all at iteration 1, so
         # the separator only ever sees pairs in the graphs
         z = self.iterate[0]
-        self.blocks = [BlockState(s.map.apply(z), np.zeros(s.op.dim), s.rho_init)
-                       for s in self.slots]
+        self.blocks = [BlockState(self._maps[i].apply(z) if i < n - 1 else z,
+                                  np.zeros(s.op.dim), s.rho_init)
+                       for i, s in enumerate(self.slots)]
         self.last_selected = [1 - sched.M] * n
         self.k = 0
         self.separator: SeparatorEval | None = None
@@ -633,14 +671,23 @@ class Engine:
         last = n - 1
         slots, blocks = self.slots, self.blocks
         z, w = p = self.iterate
-        # iterate k is the current point, so a zero-delay read of the last
-        # block shares w_n with the dual residual below; a history entry
-        # keeps it for the stale reads of later steps
-        wn = self._wn
-        if wn is None:
-            wn = self._wn = dual_sum(w, self._maps, self._dim)
+        # G_i z and w_n, formed once per iterate: the updates that read
+        # iterate k and the residuals below share them, and the history entry
+        # keeps them for the stale reads of later steps. G z holds one array
+        # per block, the last block's being z itself
+        entry = self._entry
+        if entry is None:
+            maps = self._maps
+            gz = [z] * n
+            for i in range(last):
+                g = maps[i]
+                if g.matrix is not None:
+                    gi = gz[i] = g.apply(z)
+                    gi.setflags(write=False)
+            entry = self._entry = (gz, w, dual_sum(w, maps, self._dim))
+        gz, _, wn = entry
         if self.history is not None:
-            self.history.store(k, (z, w, wn))
+            self.history.store(k, entry)
 
         selected = self._every_block
         if selected is None:
@@ -656,24 +703,28 @@ class Engine:
             slot = slots[i]
             reads[i] = d
             if d == k:
-                z_d = z
+                theta = gz[i]
                 w_d = w[i] if i < last else wn
             else:
-                z_d, w_stale, wn_stale = self.history.read(d)
+                gz_stale, w_stale, wn_stale = self.history.read(d)
+                theta = gz_stale[i]
                 w_d = w_stale[i] if i < last else wn_stale
             try:
                 if slot.kind == "backward":
-                    h = blocks[i].halvings
-                    blocks[i] = backward_update(slot, z_d, w_d, slot.rho_init, self.error_policy,
-                                                self._rng, h - 1 if h else 0)
+                    blocks[i] = backward_update(slot, theta, w_d, slot.rho_init, self.error_policy,
+                                                self._rng, blocks[i].halvings)
                 else:
                     rho_start = min(slot.rho_init, blocks[i].rho / cfg.nu)
-                    blocks[i] = forward_update_with_backtrack(slot, z_d, w_d, rho_start, cfg)
+                    blocks[i] = forward_update_with_backtrack(slot, theta, w_d, rho_start, cfg)
             except (ShapeError, BacktrackLimitError) as exc:  # NonFiniteError is a ShapeError
                 raise _violation(k, slot, exc) from exc
 
+        products = self._products
+        if products is None:
+            products = self._products = SeparatorProducts(last)
         try:
-            sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, cfg.beta)
+            sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, cfg.beta,
+                                                      products)
         except NonFiniteError as exc:
             culprit = slots[_largest_block(blocks)]
             raise _violation(k, culprit, exc, "; this block has the largest value") from exc
@@ -688,8 +739,7 @@ class Engine:
             if reads[i] == k:
                 r_primal, r_dual = b.residuals
             else:
-                g = slots[i].map
-                r = (z if g.matrix is None else g.apply(z)) - b.x
+                r = gz[i] - b.x
                 r_primal = math.sqrt(r.dot(r))
                 r = b.y - (w[i] if i < last else wn)
                 r_dual = math.sqrt(r.dot(r))
@@ -726,7 +776,7 @@ class Engine:
         except NonFiniteError as exc:
             raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         if new is not p:
-            self.iterate, self._point, self._wn = new, None, None
+            self.iterate, self._point, self._entry = new, None, None
         return _CONTINUE
 
     def run(self, callback=None) -> RunTrace:

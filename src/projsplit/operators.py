@@ -130,10 +130,9 @@ class ErrorPolicy:
     k0 + 1, ..., until both inequalities hold. The index k never exceeds
     49 (an absolute floor of 50 scales counted from ``magnitude``); past
     it the error falls back to zero, which always satisfies them. The
-    engine warm-starts each backward block: k0 is one below the index the
-    block accepted last time (0 at its first update, after a zero
-    fallback, or after accepting at k = 0), so a search starts at
-    min(magnitude, 2 * last accepted scale). sigma in [0, 1) and
+    engine warm-starts each backward block: k0 is the index the block
+    accepted last time (0 at its first update and after a zero fallback),
+    so a search starts at the last accepted scale. sigma in [0, 1) and
     magnitude >= 0 are finite, seed an integer >= 0, and a nonzero
     magnitude needs ``seeded-random``. The policy holds no generator: each
     engine seeds its own from ``seed``.

@@ -140,9 +140,10 @@ def _delay_draws(seed: int, chunk: int, i: int) -> np.ndarray:
 class HistoryBuffer:
     """Ring of the last D+1 iterates, keyed by iteration number.
 
-    The engine stores each iterate as a ``(z, w, w_n)`` triple: its
-    read-only arrays and w_n = -sum_i G_i* w_i. The buffer keeps whatever
-    it is given.
+    The engine stores each iterate as a ``(G z, w, w_n)`` triple: G z as
+    one read-only array per block (z itself for the last block), the dual
+    blocks w and w_n = -sum_i G_i* w_i, so a stale read applies no map.
+    The buffer keeps whatever it is given.
 
     Reads outside the retention window raise :class:`HistoryError`; given
     the staleness bound that can only happen through a scheduling bug.

@@ -158,8 +158,7 @@ def test_criterion_4_backtracking_hand_traces():
     cube_ = ps.MonotoneOperator(1, forward=lambda x: x ** 3, name="cube")
 
     def slot(op):
-        return OperatorSlot(index=0, op=op, map=ps.LinearMap.identity(op.dim),
-                            kind="forward", rho_init=1.0)
+        return OperatorSlot(index=0, op=op, kind="forward", rho_init=1.0)
 
     def vec(v):
         return np.array([v], dtype=float)

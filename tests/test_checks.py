@@ -398,15 +398,15 @@ VERIFY_TABLE_SHA256 = {
     "lasso":
         "c9fa3c85188107db7c1293acd00c5c28f3940b9d03953e2ce80c3a292abf5e81",
     "lasso_inexact":
-        "3b41be97634412427b34db0435189ce6598e097a83263537f00ca1dece528330",
+        "3db7fd1871f4f90fc7c82cb19820c25605896ec9aba6d6836e134433cf5cb105",
     "signed_sqrt":
         "b2b7f4a18a04cd35b6fd5df563a6277fe9977014b8aa4d978471fe3c4d5259f0",
     "async_seed_0":
-        "2afb2f0c6c306bbf0bb0242c9fd317fb18e6b2eb64999748bf6d73fa8a0852e8",
+        "791476079ebeff4c751716bffcfc1098d7292e903d8a374c1cd1a1667c767df6",
     "async_seed_1000":
-        "15b734971e39de1634dc9d641fc9b7a8a4b4bbfda45b5eebf85057abf5544897",
+        "23481f51e0a6108ba5a887020d7aa39077099695f72d80276e615676dd63ca00",
     "async_seed_0_tight_audit":
-        "2e5a5c2d78d980ab12205c4c4c8a4b56536b9a0c3dc165fd59b9f43b39fea943",
+        "22ac060220265e5a4a6137310247a424157f1cf0f4305999f3553cb047f7f0c9",
     "lasso_alpha_1.5":
         "2e460141977cf126f480bb8bd89ad32bf74e1dd52e698bb5e328fdb08d1fb0ad",
     "lasso_alpha_2.5":
@@ -428,7 +428,14 @@ def _verify_rows(case, monkeypatch):
     return _config_rows(case)
 
 
-@pytest.mark.parametrize("case", sorted(VERIFY_TABLE_SHA256))
+# the tables whose rows differ under another OpenBLAS kernel (Haswell); the
+# other two give the same rows there
+KERNEL_BITS = {"async_seed_0", "async_seed_0_tight_audit", "async_seed_1000", "lasso",
+               "lasso_alpha_1.5", "lasso_alpha_2.5", "lasso_inexact", "signed_sqrt"}
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, marks=pytest.mark.bits) if c in KERNEL_BITS
+                                  else c for c in sorted(VERIFY_TABLE_SHA256)])
 def test_verify_tables_are_unchanged(case, monkeypatch):
     rows = _verify_rows(case, monkeypatch)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()

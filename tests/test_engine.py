@@ -28,10 +28,8 @@ def arr(*entries):
     return np.array(entries, dtype=float)
 
 
-def slot(op, kind, index=0, g=None, rho=1.0):
-    return OperatorSlot(index=index, op=op,
-                        map=g if g is not None else LinearMap.identity(op.dim),
-                        kind=kind, rho_init=rho)
+def slot(op, kind, index=0, rho=1.0):
+    return OperatorSlot(index=index, op=op, kind=kind, rho_init=rho)
 
 
 NO_ERRORS = ErrorPolicy()
@@ -361,13 +359,14 @@ def test_a_second_run_leaves_the_first_trace_as_it_was():
     assert second.records[:m] == first.records
 
 
-def _async_skew_engine(max_iters=20000):
+def _async_skew_engine(max_iters=20000, tol=1e-6):
     """perfbench's async_inexact_verify instance, schedule and errors at seed 0, unchecked."""
     spec, _ = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
     errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
-    return Engine(spec, EngineConfig(max_iters=max_iters), schedule, errors)
+    return Engine(spec, EngineConfig(max_iters=max_iters, tol_primal=tol, tol_dual=tol),
+                  schedule, errors)
 
 
 def _selection_kinds(policy, n, calls):
@@ -448,15 +447,16 @@ def test_records_behave_like_the_list_of_the_callbacks_records(monkeypatch, n):
     assert rows[-1].max_primal_residual == trace.max_primal_residual
 
 
+@pytest.mark.bits
 def test_async_records_are_those_of_the_named_tuple_list():
     # sha256 of repr(trace.records) for the verify table's async_seed_0 run,
     # as a list of IterationRecord named tuples gave it
     spec, ref = make_skew_composed(1234, (8, 6, 10))
     eng = _async_skew_engine()
     checked, _ = run_with_checks(spec, ref, eng.config, eng.schedule, eng.error_policy)
-    assert checked.iterations == 2061
+    assert checked.iterations == 2011
     assert hashlib.sha256(repr(checked.records).encode()).hexdigest() == (
-        "0172a4dc488684e99cd1d27eed3b3e36c77023f70e392793f62bda4eb358ab85")
+        "5a4c51a4c95a7e3d571252a24bcbe7d9df9ca6335956f0219acff9fd695edef1")
     assert eng.run().records == checked.records
 
 
@@ -465,13 +465,15 @@ def test_a_run_keeps_at_most_200_bytes_per_iteration(iterations):
     # bytes the trace of an async run keeps, at two run lengths: 8*(7 + 5n)
     # = 176 at n = 3 in the float and integer rows, plus their spare room
     # (about 810 per iteration with an IterationRecord of tuples and floats
-    # each)
-    _async_skew_engine(iterations).run()  # fills the process's draw and resolvent caches
+    # each). At tolerance 1e-12 the run reaches its budget under every
+    # OpenBLAS kernel tried; at 1e-6 it converges after about 2,000
+    # iterations, under some kernels before 2,000
+    _async_skew_engine(iterations, 1e-12).run()  # fills the draw and resolvent caches
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        eng = _async_skew_engine(iterations)
+        eng = _async_skew_engine(iterations, 1e-12)
         trace = eng.run()
         del eng
         gc.collect()
@@ -498,6 +500,42 @@ def test_stale_reads_of_the_last_block_reuse_the_stored_w_n(monkeypatch):
     moved = sum(r.projected and r.alpha != 0.0 for r in trace.records)
     assert trace.status == "converged"
     assert calls[0] == 1 + moved
+
+
+def test_an_unchecked_async_iteration_makes_at_most_6_map_applies(monkeypatch):
+    # G_i z is formed once per iterate the run reaches and kept in its
+    # history entry, and the separator forms G_i x_n again only when the last
+    # block changed and G_i* y_i only when block i did (5.33 applies per
+    # iteration; 8.44 when each stale read, the residuals and the separator
+    # formed their own)
+    calls = [0]
+
+    def counted(original):
+        def apply(self, x):
+            calls[0] += 1
+            return original(self, x)
+        return apply
+
+    monkeypatch.setattr(LinearMap, "apply", counted(LinearMap.apply))
+    monkeypatch.setattr(LinearMap, "apply_adjoint", counted(LinearMap.apply_adjoint))
+    eng = _async_skew_engine()
+    calls[0] = 0  # the placeholder block states of the engine's set-up
+    trace = eng.run()
+    assert trace.status == "converged"
+    assert calls[0] <= 6.0 * trace.iterations, calls[0] / trace.iterations
+
+
+def test_an_async_backward_update_evaluates_at_most_1_1_resolvents(monkeypatch):
+    # each error search starts at the scale its block accepted last time,
+    # which is accepted again in most updates (1.06 resolvent evaluations per
+    # backward update; 2.04 with each search one halving above it)
+    evals = _count_prox_evals(monkeypatch)
+    eng = _async_skew_engine()
+    trace = eng.run()
+    assert trace.status == "converged"
+    backward = [i for i, s in enumerate(eng.slots) if s.kind == "backward"]
+    updates = sum(i in r.selected for r in trace.records for i in backward)
+    assert evals[0] <= 1.1 * updates, evals[0] / updates
 
 
 def test_run_backtrack_limit_becomes_assumption_violation():
@@ -759,12 +797,12 @@ def _count_prox_evals(monkeypatch):
     return calls
 
 
-def test_error_search_starts_one_halving_above_the_last_accepted_scale(monkeypatch):
+def test_error_search_starts_at_the_last_accepted_scale(monkeypatch):
     # the benchmark's async_inexact_verify run: each backward block's search
-    # starts at index k - 1 after accepting at k > 0, at 0 (the full
-    # magnitude) after accepting at 0 or falling back to a zero error, and
-    # costs one resolvent evaluation per scale tried (plus one at the
-    # unperturbed input after a fallback)
+    # starts at the index it accepted last time, at 0 (the full magnitude)
+    # at its first update or after falling back to a zero error, and costs
+    # one resolvent evaluation per scale tried (plus one at the unperturbed
+    # input after a fallback)
     spec, _ = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
@@ -785,8 +823,7 @@ def test_error_search_starts_one_halving_above_the_last_accepted_scale(monkeypat
     last = {}
     fallbacks = 0
     for op, start, k, e, n_evals in searches:
-        prev = last.get(op, 0)
-        assert start == (prev - 1 if prev > 0 else 0)
+        assert start == last.get(op, 0)
         norm = np.linalg.norm(e)
         assert norm <= policy.magnitude * (1.0 + 1e-12)
         if norm == 0.0:
@@ -828,7 +865,7 @@ def test_a_zero_fallback_restarts_the_next_search_at_the_full_magnitude(monkeypa
     assert eng.step().kind == "continue"
     assert not eng.blocks[1].error.any() and eng.blocks[1].halvings == 0
     eng.step()
-    assert starts == [9, 0]
+    assert starts == [10, 0]
 
 
 def test_an_error_free_backward_update_evaluates_its_prox_once(monkeypatch):
@@ -945,14 +982,16 @@ def test_iteration_makes_few_numpy_calls(case):
     assert c_calls[0] <= c_call_cap * trace.iterations
 
 
-def test_async_inexact_iteration_overhead_is_at_most_50_python_calls():
+def test_async_inexact_iteration_overhead_is_at_most_40_python_calls():
     # the benchmark's async_inexact_verify schedule and errors, unchecked:
     # block selection, delay draws and the cached dense resolvent each cost
-    # O(1) Python calls per iteration, and a backward block's error search
-    # starts one halving above the scale it accepted last time, so most
-    # updates evaluate the resolvent once or twice (42.3 per iteration; 78.6
-    # with every search starting at the full magnitude, 176 with a generator
-    # seeded per iteration and block and a solve per resolvent)
+    # O(1) Python calls per iteration, G_i z is formed once per iterate, the
+    # separator reuses the products of unchanged blocks, and a backward
+    # block's error search starts at the scale it accepted last time, so
+    # most updates evaluate the resolvent once (33.3 per iteration; 42.7
+    # with each search one halving above that scale and each product formed
+    # where it was read, 176 with a generator seeded per iteration and
+    # block and a solve per resolvent)
     spec, _ = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
@@ -970,15 +1009,16 @@ def test_async_inexact_iteration_overhead_is_at_most_50_python_calls():
     finally:
         sys.setprofile(None)
     assert trace.status == "converged"
-    assert calls[0] <= 50 * trace.iterations
+    assert calls[0] <= 40 * trace.iterations
 
 
-def test_checked_async_iteration_overhead_is_at_most_75_python_calls():
+def test_checked_async_iteration_overhead_is_at_most_70_python_calls():
     # the same run under run_with_checks, set-up and schedule audit
     # included: the monitor folds each check's worst violation once per
-    # iteration (65.8 calls per iteration; 102.1 with every error search
-    # starting at the full magnitude, 132 with one accumulator call per
-    # check, block and iteration)
+    # iteration (62.8 calls per iteration; 72.3 with each error search one
+    # halving above the last accepted scale and each product formed where
+    # it was read, 132 with one accumulator call per check, block and
+    # iteration)
     spec, ref = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
@@ -996,7 +1036,7 @@ def test_checked_async_iteration_overhead_is_at_most_75_python_calls():
     finally:
         sys.setprofile(None)
     assert trace.status == "converged" and all(r.passed for r in results)
-    assert calls[0] <= 75 * trace.iterations
+    assert calls[0] <= 70 * trace.iterations
 
 
 def test_determinism_across_runs():

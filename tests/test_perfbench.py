@@ -47,12 +47,14 @@ def _counts(monkeypatch, solve):
     return trace.iterations, forward, calls[0]
 
 
+@pytest.mark.bits
 def test_nonlip_linesearch_counts(monkeypatch):
     spec, _ = make_signed_sqrt([0.0] * 4)
     counts = _counts(monkeypatch, lambda: (run(spec, EngineConfig(max_iters=20000)), spec))
     assert counts == (619, 1870, 619)
 
 
+@pytest.mark.bits
 def test_async_inexact_verify_counts(monkeypatch):
     spec, ref = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
@@ -65,4 +67,4 @@ def test_async_inexact_verify_counts(monkeypatch):
         assert all(r.passed for r in results)
         return trace, spec
 
-    assert _counts(monkeypatch, solve) == (2061, 2839, 4519)
+    assert _counts(monkeypatch, solve) == (2011, 2761, 2300)
