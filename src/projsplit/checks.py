@@ -16,11 +16,15 @@ no checking) and checks, every iteration:
                     inequalities;
 * stepsize-bound -- each forward block's accepted stepsize is at most its
                     rho_init and at most its previous one divided by nu,
-                    so trial stepsizes stay bounded above.
+                    so trial stepsizes stay bounded above; and its pairs
+                    (theta, T theta), (x, y) meet the operator's declared
+                    strong-monotonicity modulus, on which the linesearch
+                    skips trials.
 
 The identities are recomputed from what the engine hands over by
 reference: the inputs each updated :class:`~projsplit.engine.BlockState`
-keeps and the engine's last separator. No operator is evaluated here.
+keeps, the engine's last separator and the map products of its new iterate
+(:meth:`~projsplit.engine.Engine.entry`). No operator is evaluated here.
 Schedule guarantees (coverage window, staleness bound) are audited by
 :class:`ScheduleAudit`, a fold fed one record at a time: from the run's
 callback under ``run_with_checks``, or post hoc over a list of records by
@@ -53,6 +57,7 @@ PI_IDENTITY_TOL = 1e-10
 UPDATE_IDENTITY_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 ERROR_ADMISSIBILITY_TOL = 1e-12
+MODULUS_TOL = 1e-12
 
 _MONITOR_CHECKS = ("separation", "fejer", "pi-identity", "update-identity", "projection",
                    "error-bounds", "stepsize-bound")
@@ -90,10 +95,10 @@ def affine_value(blocks, maps, q) -> float:
 
 
 def _affine_value(blocks, gz, q, wn) -> float:
-    """:func:`affine_value` at q given G_i z (``gz``) and w_n(q) (``wn``)."""
+    """:func:`affine_value` at q given G_i z (``gz``, from i = 0) and w_n(q) (``wn``)."""
     z, w = q
     total = 0.0
-    for i in range(len(gz)):
+    for i in range(len(w)):
         b = blocks[i]
         total += (gz[i] - b.x).dot(b.y - w[i])
     last = blocks[-1]
@@ -124,6 +129,27 @@ def update_gap(block: BlockState, kind: str) -> float:
         return _norm(block.x - recon) / (1.0 + _norm(recon))
     a = block.theta + block.rho * block.w + block.error
     return _norm(block.x + block.rho * block.y - a) / (1.0 + _norm(a))
+
+
+def modulus_gap(block: BlockState, modulus: float) -> float:
+    """How far a forward update's pairs fall short of the operator's declared modulus.
+
+    With D = theta - x and T(theta) = drift + w, strong monotonicity asks
+    <D, T(theta) - y> >= modulus*||D||^2. The shortfall is scaled by
+    ||D||*(||T(theta)|| + ||y||), the size of its rounding error, and is
+    <= 0 when the pairs comply. A quickstop state (D = 0) has nothing to
+    check and gives -inf.
+    """
+    gap = block.theta - block.x
+    gap_sq = gap.dot(gap)
+    if gap_sq == 0.0:
+        return -math.inf
+    t_theta = block.drift + block.w
+    shortfall = modulus * gap_sq - gap.dot(t_theta - block.y)
+    scale = math.sqrt(gap_sq) * (math.sqrt(t_theta.dot(t_theta)) + math.sqrt(block.y.dot(block.y)))
+    if scale == 0.0:  # T(theta) = y = 0: only a positive modulus is violated
+        return math.inf if shortfall > 0.0 else -math.inf
+    return shortfall / scale
 
 
 def _norm(x: np.ndarray) -> float:
@@ -161,9 +187,11 @@ class InvariantMonitor:
     on the first call). Since an engine starts at the problem's stored
     initial point, so does the Fejer check. After each step the monitor
     reads the engine's state: the blocks updated in that iteration and
-    ``engine.separator``. Until it has seen a forward block's first update,
-    it takes that block's previous stepsize to be its ``rho_init``, as the
-    engine's initial block states do. The tolerances are this module's
+    ``engine.separator``, and checks the projection on the new iterate's
+    map products (:meth:`~projsplit.engine.Engine.entry`), which the
+    engine's next step reuses. Until it has seen a forward block's first
+    update, it takes that block's previous stepsize to be its ``rho_init``,
+    as the engine's initial block states do. The tolerances are this module's
     constants.
     """
 
@@ -200,12 +228,16 @@ class InvariantMonitor:
                             - ERROR_ADMISSIBILITY_TOL)
             else:
                 bound = min(slot.rho_init, self._last_rho.get(i, slot.rho_init) / config.nu)
-                stepsize = max(stepsize, block.rho - bound)
+                stepsize = max(stepsize, block.rho - bound,
+                               modulus_gap(block, slot.op.modulus) - MODULUS_TOL)
                 self._last_rho[i] = block.rho
 
         if record.projected and record.phi > 0.0:
-            # phi is affine, so the relaxed projection leaves (1 - beta)*phi
-            landed = affine_value(engine.blocks, engine.problem.maps, engine.iterate)
+            # phi is affine, so the relaxed projection leaves (1 - beta)*phi;
+            # the mismatch form at the entry's point (G z ends with z itself)
+            # is independent of (u, v), and a stale entry lands elsewhere
+            gz, w, wn = engine.entry()
+            landed = _affine_value(engine.blocks, gz, (gz[-1], w), wn)
             projection = (abs(landed - (1.0 - config.beta) * record.phi)
                           - PROJECTION_TOL * (1.0 + abs(record.phi)))
 

@@ -15,13 +15,30 @@ means the step was too long.
 
 The linesearch is warm-started. A forward block's search begins at
 
-    min(rho_init, rho_prev/nu),
+    rho_start = min(rho_init, rho_prev/nu),
 
 one shrink factor above the stepsize the block accepted last time, so an
 iteration does not repeat the trials its predecessor already failed. Every
 trial stepsize stays bounded above by rho_init, which is all the
 convergence theory asks of them. The first search begins at rho_init,
 since initial block states carry rho = rho_init.
+
+Trials that monotonicity proves must fail are skipped. For an operator with
+strong-monotonicity modulus mu >= 0 (``MonotoneOperator.modulus``; 0 for a
+merely monotone one), x~ = theta - rho*d with d = T(theta) - w gives
+
+    <theta - x~, T(x~) - w> = rho*||d||^2 - <theta - x~, T(theta) - T(x~)>
+                            <= rho*(1 - mu*rho)*||d||^2,
+
+so the slope test, which asks for at least delta*rho^2*||d||^2, fails at
+every rho with rho*(delta + mu) > 1. The search shrinks rho_start by nu
+while rho*(delta + mu) > 1 + 1e-9, evaluating and counting none of those
+trials; the margin keeps rounding at the bound from dropping a trial the
+test could pass. The trial sequence stays rho_start*nu^j and only its
+provably failing prefix goes unevaluated, so every accepted stepsize is
+the one a search through all of them would accept. The bound needs no
+Lipschitz constant; it is the converse of the 1/(L + delta) acceptance
+bound of Johnstone & Eckstein (arXiv:1803.07043).
 
 A backward block's prox-error search is warm-started too. Under
 ``seeded-random`` errors a draw is tried at the scales magnitude * 2^-k
@@ -65,10 +82,11 @@ The iterate is a ``(z, w)`` pair: ``z`` a read-only float64 array and ``w``
 a tuple of them, one per dual block (:attr:`Engine.iterate`). Block
 updates, the separator and the projection work on those arrays. Each map
 product is formed once per value. The engine forms G_i z for every block
-and w_n = -sum_i G_i* w_i once per iterate it reaches; the updates that
-read that iterate and the residuals use them, and its history entry
-``(G z, w, w_n)`` keeps them for stale reads (G z holds one read-only
-array per block, the last block's being z itself). The block updates take
+and w_n = -sum_i G_i* w_i once per iterate it reaches, as the entry
+``(G z, w, w_n)`` of :meth:`Engine.entry`; the updates that read that
+iterate, the residuals and an invariant monitor use them, and the history
+keeps the entry for stale reads (G z holds one read-only array per block,
+the last block's being z itself). The block updates take
 G z and apply no map. The separator keeps G_i x_n while the last block's
 state is unchanged and G_i* y_i while block i's is
 (:class:`SeparatorProducts`).
@@ -121,7 +139,10 @@ class EngineConfig:
     positive, kept as a float or a tuple of floats) is a backward block's
     prox stepsize. For a forward block it caps every linesearch trial: the
     search starts at min(rho_init, rho_prev/nu), where rho_prev is the
-    block's last accepted stepsize (rho_init before its first update).
+    block's last accepted stepsize (rho_init before its first update). Its
+    first evaluated trial is the largest of start*nu^j, j >= 0, with
+    rho*(delta + mu) <= 1 + 1e-9, mu being the operator's modulus: the
+    larger ones must fail (see the module docstring).
     Real fields must be finite numbers and max_backtracks/max_iters
     integers (booleans rejected); a bad field is a
     :class:`~projsplit.errors.ConfigError` naming it. The constants
@@ -385,6 +406,8 @@ def backward_update(slot: OperatorSlot, theta: np.ndarray, w_delayed: np.ndarray
 
 
 _FLOAT = np.dtype(float)
+# a trial with rho*(delta + modulus) above this fails the slope test
+_SKIP_BOUND = 1.0 + 1e-9
 
 
 def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
@@ -394,9 +417,12 @@ def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
 
     If T(G z) already matches w (to quickstop tolerance) the pair is
     accepted immediately with the initial stepsize and a count of zero.
-    Otherwise trials j = 1, 2, ... evaluate the candidate at stepsize
-    rho_init * nu^(j-1) until the accepted-slope test holds. A trial whose
-    T(x~) is NaN/Inf counts as failed. Exceeding the trial budget raises
+    Otherwise the stepsize shrinks from rho_init by nu, unevaluated, while
+    rho*(delta + modulus) > 1 + 1e-9 (such a trial must fail; see the module
+    docstring), and trials j = 1, 2, ... then evaluate the candidate at
+    rho * nu^(j-1) until the accepted-slope test holds. The count and the
+    budget are of evaluated trials. A trial whose T(x~) is NaN/Inf counts
+    as failed. Exceeding the trial budget raises
     :class:`~projsplit.errors.BacktrackLimitError`, since finiteness is
     guaranteed whenever the operator really is continuous. A NaN/Inf
     T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
@@ -433,6 +459,9 @@ def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
                           (0.0, norm))
     delta, nu, budget = config.delta, config.nu, config.max_backtracks
     rho = rho_init
+    reach = delta + op.modulus
+    while rho * reach > _SKIP_BOUND:  # a trial here fails the slope test
+        rho = nu * rho
     count = 0
     while True:
         count += 1
@@ -628,7 +657,7 @@ class Engine:
         self._dim = problem.dim
         self._point = PrimalDualPoint(problem.z_init, problem.w_init)
         self.iterate = self._point.arrays
-        # (G z, w, w_n) of the iterate, formed by the first step that reads it
+        # (G z, w, w_n) of the iterate, formed by the first call of entry() at it
         self._entry = None
         # a full schedule selects every block at every iteration, and with
         # zero delay every read is of the current iterate
@@ -661,6 +690,27 @@ class Engine:
             self._point = PrimalDualPoint(Vec(z), tuple(Vec(wi) for wi in w))
         return self._point
 
+    def entry(self) -> tuple:
+        """``(G z, w, w_n)`` of the current iterate, formed once per iterate.
+
+        G z holds one read-only array per block, the last block's being z
+        itself, and w_n = -sum_i G_i* w_i. The first call at an iterate forms
+        them, and later calls at it, the next step's among them, return the
+        same tuple; an invariant monitor checks the new iterate on it.
+        """
+        entry = self._entry
+        if entry is None:
+            z, w = self.iterate
+            maps = self._maps
+            gz = [z] * self._n
+            for i in range(self._n - 1):
+                g = maps[i]
+                if g.matrix is not None:
+                    gi = gz[i] = g.apply(z)
+                    gi.setflags(write=False)
+            entry = self._entry = (gz, w, dual_sum(w, maps, self._dim))
+        return entry
+
     def step(self) -> StepOutcome:
         """Execute one outer iteration; see the module docstring for the shape."""
         cfg = self.config
@@ -670,22 +720,11 @@ class Engine:
         n = self._n
         last = n - 1
         slots, blocks = self.slots, self.blocks
-        z, w = p = self.iterate
-        # G_i z and w_n, formed once per iterate: the updates that read
-        # iterate k and the residuals below share them, and the history entry
-        # keeps them for the stale reads of later steps. G z holds one array
-        # per block, the last block's being z itself
-        entry = self._entry
-        if entry is None:
-            maps = self._maps
-            gz = [z] * n
-            for i in range(last):
-                g = maps[i]
-                if g.matrix is not None:
-                    gi = gz[i] = g.apply(z)
-                    gi.setflags(write=False)
-            entry = self._entry = (gz, w, dual_sum(w, maps, self._dim))
-        gz, _, wn = entry
+        _, w = p = self.iterate
+        # the updates that read iterate k and the residuals below share its
+        # products, and the history entry keeps them for later stale reads;
+        # a monitor may have formed them already
+        gz, _, wn = entry = self._entry or self.entry()
         if self.history is not None:
             self.history.store(k, entry)
 

@@ -43,17 +43,29 @@ class MonotoneOperator:
         Resolvent evaluation (a, rho) -> (I + rho*T)^{-1}(a).
     name : str
         Label used in error messages and traces.
+    modulus : float
+        A strong-monotonicity modulus mu >= 0, finite (a
+        :class:`~projsplit.errors.ConfigError` naming ``modulus``
+        otherwise): <x - x', T x - T x'> >= mu*||x - x'||^2 for all x, x'.
+        The default 0 claims only monotonicity. The forward linesearch skips,
+        unevaluated, the trials that this bound proves must fail (see
+        :mod:`projsplit.engine`); :class:`~projsplit.checks.InvariantMonitor`
+        checks the declared value on every forward pair a run accepts.
 
     At least one of ``forward``/``prox`` must be given.
     """
 
-    __slots__ = ("dim", "name", "_forward", "_prox")
+    __slots__ = ("dim", "name", "modulus", "_forward", "_prox")
 
-    def __init__(self, dim: int, *, forward=None, prox=None, name="operator"):
+    def __init__(self, dim: int, *, forward=None, prox=None, name="operator",
+                 modulus: float = 0.0):
         if forward is None and prox is None:
             raise ConfigError(f"operator '{name}' declares no capability")
         self.dim = checked_dim(dim)
         self.name = name
+        self.modulus = checked_real("modulus", modulus)
+        if self.modulus < 0.0:
+            raise ConfigError(f"modulus must be >= 0, got {modulus!r}")
         self._forward = forward
         self._prox = prox
 
@@ -226,7 +238,9 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
     """T(x) = M x + b. Requires M + M^T positive semidefinite.
 
     Monotonicity is checked at construction through the smallest eigenvalue
-    of the symmetric part, a cheap guard at the scales this library targets.
+    lam_min of the symmetric part, a cheap guard at the scales this library
+    targets. The operator declares the modulus max(0, lam_min), exactly 0
+    for a skew M, whose symmetric part is the zero matrix.
     Supports both forward evaluation and the resolvent
     x = (I + rho*M)^{-1}(a - rho*b). The resolvent keeps the explicit
     inverse R = (I + rho*M)^{-1} and rho*b for the last rho it was called
@@ -259,13 +273,16 @@ def affine_monotone(matrix, shift) -> MonotoneOperator:
             state = cached = (rho, np.linalg.inv(eye + rho * m), -rho * b)
         return state[1] @ (a + state[2])
 
-    return MonotoneOperator(m.shape[0], forward=fwd, prox=prox, name="affine")
+    return MonotoneOperator(m.shape[0], forward=fwd, prox=prox, name="affine",
+                            modulus=max(0.0, lam_min))
 
 
 def shifted_identity(shift) -> MonotoneOperator:
     """T(x) = x + b: :func:`affine_monotone` with M = I, at O(dim) cost per evaluation.
 
-    The resolvent is (a - rho*b)/(1 + rho).
+    The resolvent is (a - rho*b)/(1 + rho). The operator is 1-strongly
+    monotone and declares modulus 1, so under the default delta = 1 the
+    linesearch skips every trial above rho = 1/2 unevaluated.
     """
     b = np.asarray(shift, dtype=float).reshape(-1)
 
@@ -275,7 +292,8 @@ def shifted_identity(shift) -> MonotoneOperator:
     def prox(a, rho):
         return (a - rho * b) / (1.0 + rho)
 
-    return MonotoneOperator(b.shape[0], forward=fwd, prox=prox, name="shifted-identity")
+    return MonotoneOperator(b.shape[0], forward=fwd, prox=prox, name="shifted-identity",
+                            modulus=1.0)
 
 
 def l1_subdifferential(lam: float, dim: int) -> MonotoneOperator:

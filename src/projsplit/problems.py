@@ -462,8 +462,10 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
 
     The drift is continuous everywhere but non-Lipschitz at 0, so for c = 0
     the solution sits exactly at the bad point and accepted stepsizes may
-    decay without a uniform lower bound. The trailing block is the zero
-    operator. Closed-form oracle: t = sqrt(|z|) solves t^2 + t = |c|, so
+    decay without a uniform lower bound. It is 1-strongly monotone, the
+    signed square root being monotone, and declares modulus 1. The
+    trailing block is the zero operator. Closed-form oracle: t = sqrt(|z|)
+    solves t^2 + t = |c|, so
     t = 2|c| / (1 + sqrt(1 + 4|c|)) and z* = sign(c) t^2 = sign(c) (|c| - t),
     taking the square for t < 1 and the difference otherwise; exactly 0 at
     c = 0.
@@ -474,7 +476,7 @@ def make_signed_sqrt(c) -> tuple[ProblemSpec, ReferenceSolution]:
     def drift(x):
         return np.sign(x) * np.sqrt(np.abs(x)) + x - c
 
-    t_drift = MonotoneOperator(dim, forward=drift, name="signed-sqrt-drift")
+    t_drift = MonotoneOperator(dim, forward=drift, name="signed-sqrt-drift", modulus=1.0)
     spec = ProblemSpec(
         name="signed_sqrt",
         maps=(LinearMap.identity(dim),),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import warnings
@@ -10,8 +11,9 @@ import projsplit.engine
 from projsplit import (ConfigError, Engine, EngineConfig, ErrorPolicy, InvariantMonitor,
                        LinearMap, MonotoneOperator, ProblemSpec, SchedulePolicy, Vec,
                        audit_schedule, build, make_skew_composed, parse_config, prox_eval,
-                       run_with_checks, zero_op)
-from projsplit.engine import IterationRecord
+                       run_with_checks, shifted_identity, zero_op)
+from projsplit.checks import modulus_gap
+from projsplit.engine import BlockState, IterationRecord
 from projsplit.errors import NonFiniteError
 from projsplit.operators import ProxResult
 
@@ -67,15 +69,33 @@ def test_mildly_inflated_steplength_breaks_hyperplane_landing(monkeypatch):
     assert named["fejer"].passed
 
 
-def test_overshooting_steplength_breaks_fejer(monkeypatch):
+def _scaled_step_results(factor, monkeypatch, max_iters=300):
+    """The monitor's results on the lasso config, projected with ``factor`` times alpha."""
     spec, ref = build("lasso", {})
-    _scale_steplength(monkeypatch, 2.5)
-    eng = Engine(spec, EngineConfig(max_iters=300))
+    _scale_steplength(monkeypatch, factor)
+    eng = Engine(spec, EngineConfig(max_iters=max_iters))
     mon = InvariantMonitor(spec, 1.0, ref)
     eng.run(callback=mon)
-    named = _results_by_name(mon.results())
+    return mon.results()
+
+
+@pytest.mark.bits
+def test_overshooting_steplength_breaks_fejer(monkeypatch):
+    # a 2.5x step raises the distance to p* only where phi(p*) > -phi(p)/4,
+    # which depends on the trajectory: under the Haswell kernel's it never
+    # happens in these 300 iterations
+    named = _results_by_name(_scaled_step_results(2.5, monkeypatch))
     assert not named["fejer"].passed
     assert not named["projection"].passed
+
+
+def test_a_reverse_step_breaks_fejer_and_projection_at_iteration_1(monkeypatch):
+    # p+ = p + alpha*g moves the squared distance to p* by
+    # (phi/||g||^2)(3 phi - 2 phi(p*)) > 0 at every projected iteration with
+    # phi > 0, since phi(p*) <= 0: the check fails on any trajectory
+    named = _results_by_name(_scaled_step_results(-1.0, monkeypatch, max_iters=10))
+    assert named["fejer"].first_failure == 1
+    assert named["projection"].first_failure == 1
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
@@ -248,6 +268,78 @@ def test_start_above_the_bound_breaks_stepsize_bound(monkeypatch):
     assert named["update-identity"].passed
 
 
+def test_a_modulus_the_operator_lacks_breaks_stepsize_bound():
+    # the skew block declaring modulus 1: its pairs give <D, T(theta) - y> =
+    # <D, K D> = 0 < ||D||^2, and the linesearch skips trials on that claim
+    spec, ref = build("skew_composed", {})
+    skew = spec.operators[0]
+    liar = MonotoneOperator(skew.dim, forward=skew._forward, prox=skew._prox, name="skew",
+                            modulus=1.0)
+    spec = dataclasses.replace(spec, operators=(liar,) + spec.operators[1:])
+    trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=5))
+    named = _results_by_name(results)
+    assert not named["stepsize-bound"].passed
+    assert named["stepsize-bound"].first_failure == 1
+    assert named["update-identity"].passed
+
+
+def test_a_forward_zero_operator_passes_stepsize_bound_without_warnings():
+    # its trials give T(theta) = y = 0 with theta != x, so the shortfall has
+    # scale 0; only a positive declared modulus would be violated
+    spec = ProblemSpec(name="zero-drift", maps=(LinearMap.identity(2),),
+                       operators=(zero_op(2), shifted_identity([1.0, -2.0])),
+                       forward_blocks=frozenset({0}), z_init=Vec([1.0, 1.0]),
+                       w_init=(Vec([0.0, 0.0]),))
+    mon = InvariantMonitor(spec, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = Engine(spec, EngineConfig(max_iters=50)).run(callback=mon)
+    assert trace.status == "converged" and trace.records[1].backtracks[0] == 1
+    assert mon.all_passed
+    # T(theta) = drift + w = 0 = y at theta - x = (1, 1)
+    pair = BlockState(x=np.zeros(2), y=np.zeros(2), rho=1.0, theta=np.ones(2), w=np.ones(2),
+                      drift=-np.ones(2))
+    assert modulus_gap(pair, 0.0) == -np.inf and modulus_gap(pair, 1.0) == np.inf
+
+
+def test_declared_moduli_leave_stepsize_bound_at_zero():
+    # these configs' forward operators declare 1 (lasso, signed_sqrt) and
+    # 0 (box_cubic); the scaled shortfall stays below 1e-15
+    for name in ("lasso", "signed_sqrt", "box_cubic_async"):
+        cfg = parse_config((ROOT / "configs" / f"{name}.json").read_text())
+        spec, ref = build(cfg.problem_kind, cfg.problem_params)
+        eng = Engine(spec, cfg.engine, cfg.schedule, cfg.errors)
+        worst = [-np.inf]
+
+        def shortfall(engine, record):
+            for i in record.selected:
+                if engine.slots[i].kind == "forward":
+                    block = engine.blocks[i]
+                    worst[0] = max(worst[0], modulus_gap(block, engine.slots[i].op.modulus))
+
+        eng.run(callback=shortfall)
+        assert -np.inf < worst[0] <= 1e-15, (name, worst[0])
+
+
+def test_a_step_that_keeps_the_old_entry_breaks_projection():
+    # the monitor lands the projection on the engine's (G z, w, w_n) of the
+    # new iterate; products kept from the old one put it back at phi(p)
+    class StaleEntry(Engine):
+        def step(self):
+            entry = self.entry()
+            out = super().step()
+            self._entry = entry
+            return out
+
+    spec, ref = build("lasso", {})
+    eng = StaleEntry(spec, EngineConfig(max_iters=5))
+    mon = InvariantMonitor(spec, 1.0, ref)
+    eng.run(callback=mon)
+    named = _results_by_name(mon.results())
+    assert named["projection"].first_failure == 1
+    assert named["pi-identity"].passed and named["update-identity"].passed
+
+
 def _record(iteration, selected, delays):
     n = max(max(selected, default=0) + 1, 2)
     return IterationRecord(
@@ -362,12 +454,7 @@ def test_tight_audit_worst_values_are_floats():
 
 
 def _overshoot_rows(factor, monkeypatch):
-    spec, ref = build("lasso", {})
-    _scale_steplength(monkeypatch, factor)
-    eng = Engine(spec, EngineConfig(max_iters=300))
-    mon = InvariantMonitor(spec, 1.0, ref)
-    eng.run(callback=mon)
-    return _rows(mon.results())
+    return _rows(_scaled_step_results(factor, monkeypatch))
 
 
 def _corrupted_async_rows(monkeypatch):

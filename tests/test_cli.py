@@ -91,13 +91,15 @@ def test_trace_is_byte_deterministic(tmp_path):
 # The trace records phi, pi, alpha, residuals and stepsizes at full
 # precision, so a change of arithmetic changes the hash; a change that does
 # so on purpose updates the value here and says why.
-# Last update: each prox-error search starts at the scale its block accepted
-# last time. Only lasso_inexact, the one config with prox errors, changed:
-# its errors are drawn at other scales (1649 iterations, was 1813).
+# Last update: the linesearch skips, unevaluated, the trials above
+# 1/(delta + modulus), which must fail. Only the backtrack columns of the
+# three configs whose forward operator has modulus 1 changed (lasso 317
+# rows, lasso_inexact 814, signed_sqrt 1); every other column and
+# box_cubic_async's whole trace kept their bytes.
 CONFIG_TRACE_SHA256 = {
-    "lasso": "74de62c4c75f863b4d3a61179e2896cd69f5cc2a93c4e3b9dbd133a29ca6379b",
-    "lasso_inexact": "62edf1984322bcb4ae95d996751d627fe433a8f7ce38bbebfa31076d917ac926",
-    "signed_sqrt": "b84ec6e7c9c51f16cbab6dc5cfab606186d1708d9abfd751e789327f5cdf7c32",
+    "lasso": "b2af53a9278a447f8512633bcd838faf6fd0d35e1765a4cfebdbc7781e79dd44",
+    "lasso_inexact": "2c80a951191d540b27769f7303fa12506178755dc8435b19a78f68a47ca650ca",
+    "signed_sqrt": "70d8447b2997d264d0f72dbe7c30e10c896008310f859a6470e97e8b2754f74d",
     "box_cubic_async": "a2ddadf46d5d86d145be55a51443ef229b9ab5d0e2b115ff23a61659554789bd",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

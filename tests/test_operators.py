@@ -130,6 +130,38 @@ def test_affine_non_monotone_rejected():
         affine_monotone([[-1.0]], [0.0])
 
 
+@pytest.mark.parametrize("modulus", [-1.0, -1e-300, np.nan, np.inf, "1", True])
+def test_a_negative_or_non_finite_modulus_is_a_config_error(modulus):
+    with pytest.raises(ConfigError, match="modulus"):
+        MonotoneOperator(1, forward=lambda x: x, modulus=modulus)
+
+
+def test_library_operators_declare_their_modulus():
+    # max(0, lam_min) of the symmetric part for an affine operator: exactly
+    # 0 for a skew matrix; 1 for the shifted identity; 0 unless declared
+    assert MonotoneOperator(1, forward=lambda x: x).modulus == 0.0
+    assert shifted_identity([1.0, 2.0]).modulus == 1.0
+    assert affine_monotone([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]).modulus == 0.0
+    assert affine_monotone([[2.0, 1.0], [-1.0, 3.0]], [0.0, 0.0]).modulus == pytest.approx(2.0)
+    assert affine_monotone([[1e-11, 0.0], [0.0, -1e-11]], [0.0, 0.0]).modulus == 0.0
+    assert zero_op(2).modulus == 0.0 and cube(2).modulus == 0.0
+
+
+def test_declared_moduli_hold_on_samples():
+    rng = np.random.default_rng(23)
+    dim = 3
+    raw = rng.standard_normal((dim, dim))
+    # symmetric part diag(0.5, 2, 3): modulus 0.5
+    ops = [shifted_identity(rng.standard_normal(dim)),
+           affine_monotone(np.diag([0.5, 2.0, 3.0]) + raw - raw.T, np.zeros(dim))]
+    assert ops[1].modulus == pytest.approx(0.5)
+    for op in ops:
+        for _ in range(200):
+            x, y = 5 * rng.standard_normal(dim), 5 * rng.standard_normal(dim)
+            gap = np.dot(forward_eval(op, x) - forward_eval(op, y), x - y)
+            assert gap >= op.modulus * np.dot(x - y, x - y) - 1e-10
+
+
 def _prox_library(rng, dim):
     return [
         l1_subdifferential(0.7, dim),
