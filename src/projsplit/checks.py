@@ -46,7 +46,7 @@ import numpy as np
 from .engine import BlockState, Engine, IterationRecord, SeparatorEval
 from .errors import ConfigError, ShapeError
 from .linalg import PrimalDualPoint, dual_sum, gamma_norm, weighted_norm
-from .operators import ProxResult, error_inequality_gaps
+from .operators import error_inequality_gaps
 
 
 # Tolerances of the per-iteration checks. Separation and projection scale
@@ -157,13 +157,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def error_gap(block: BlockState, sigma: float) -> float:
-    """Worst admissibility-inequality violation by a backward update's error; 0 if admissible."""
-    g1, g2 = error_inequality_gaps(block.error, ProxResult(block.x, block.y), block.theta,
-                                   block.w, block.rho, sigma)
-    return max(0.0, -g1, -g2)
-
-
 def _fold(worst: list, first_failure: list, violations, k: int):
     """Fold iteration k's worst violation per check into the run's worst and first failure.
 
@@ -189,10 +182,12 @@ class InvariantMonitor:
     reads the engine's state: the blocks updated in that iteration and
     ``engine.separator``, and checks the projection on the new iterate's
     map products (:meth:`~projsplit.engine.Engine.entry`), which the
-    engine's next step reuses. Until it has seen a forward block's first
-    update, it takes that block's previous stepsize to be its ``rho_init``,
-    as the engine's initial block states do. The tolerances are this module's
-    constants.
+    engine's next step reuses. The partition and the operators' moduli come
+    from ``engine.problem``, and each block's ``rho_init`` from
+    ``engine.config``, resolved on the first call. Until it has seen a
+    forward block's first update, it takes that block's previous stepsize to
+    be its ``rho_init``, as the engine's initial block states do. The
+    tolerances are this module's constants.
     """
 
     def __init__(self, problem, gamma: float, reference=None):
@@ -200,7 +195,7 @@ class InvariantMonitor:
         self.gamma = gamma
         self._worst = [0.0] * len(_MONITOR_CHECKS)
         self._first_failure = [None] * len(_MONITOR_CHECKS)
-        self._last_rho: dict[int, float] = {}
+        self._rho_init = self._last_rho = None  # resolved from the engine's config
         self.ref_point = None
         if reference is not None:
             # the reference is fixed: G_i z* and w_n(z*) are computed once
@@ -218,19 +213,26 @@ class InvariantMonitor:
         if config.gamma != self.gamma:
             raise ConfigError(f"the monitor measures with gamma={self.gamma} but the engine "
                               f"runs with gamma={config.gamma}; pass the engine's gamma")
+        problem = engine.problem
+        rho_init, last_rho = self._rho_init, self._last_rho
+        if rho_init is None:
+            rho_init = self._rho_init = config.resolve_rho(problem.n)
+            last_rho = self._last_rho = list(rho_init)
         separation = fejer = projection = update = error = stepsize = -math.inf
         pi = pi_gap(engine.separator, config.gamma) - PI_IDENTITY_TOL
         for i in record.selected:
-            block, slot = engine.blocks[i], engine.slots[i]
-            update = max(update, update_gap(block, slot.kind) - UPDATE_IDENTITY_TOL)
-            if slot.kind == "backward":
-                error = max(error, error_gap(block, engine.error_policy.sigma)
-                            - ERROR_ADMISSIBILITY_TOL)
-            else:
-                bound = min(slot.rho_init, self._last_rho.get(i, slot.rho_init) / config.nu)
+            block = engine.blocks[i]
+            if i in problem.forward_blocks:
+                update = max(update, update_gap(block, "forward") - UPDATE_IDENTITY_TOL)
+                bound = min(rho_init[i], last_rho[i] / config.nu)
                 stepsize = max(stepsize, block.rho - bound,
-                               modulus_gap(block, slot.op.modulus) - MODULUS_TOL)
-                self._last_rho[i] = block.rho
+                               modulus_gap(block, problem.operators[i].modulus) - MODULUS_TOL)
+                last_rho[i] = block.rho
+            else:
+                update = max(update, update_gap(block, "backward") - UPDATE_IDENTITY_TOL)
+                g1, g2 = error_inequality_gaps(block.error, block.x, block.y, block.theta, block.w,
+                                               block.rho, engine.error_policy.sigma)
+                error = max(error, -g1 - ERROR_ADMISSIBILITY_TOL, -g2 - ERROR_ADMISSIBILITY_TOL)
 
         if record.projected and record.phi > 0.0:
             # phi is affine, so the relaxed projection leaves (1 - beta)*phi;

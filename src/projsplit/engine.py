@@ -193,20 +193,6 @@ class EngineConfig:
         return rho
 
 
-@dataclass(frozen=True)
-class OperatorSlot:
-    """Static per-block wiring: operator and update kind.
-
-    The block's composition map stays with the problem: the engine forms
-    G z once per iterate and hands the update G z itself.
-    """
-
-    index: int
-    op: object
-    kind: str  # "forward" | "backward"
-    rho_init: float
-
-
 class BlockState(NamedTuple):
     """Result of a block update: (x, y) with y in T(x), plus its inputs.
 
@@ -346,15 +332,6 @@ class IterationRecords(Sequence):
         return repr(list(self))
 
 
-class StepOutcome(NamedTuple):
-    kind: str  # "continue" | "converged" | "exact-termination" | "budget"
-    solution: PrimalDualPoint | None = None
-
-
-_CONTINUE = StepOutcome("continue")
-_BUDGET = StepOutcome("budget")
-
-
 @dataclass
 class RunTrace:
     """Full record of a solver run.
@@ -386,10 +363,10 @@ class RunTrace:
 # block updates
 # ---------------------------------------------------------------------------
 
-def backward_update(slot: OperatorSlot, theta: np.ndarray, w_delayed: np.ndarray,
-                    rho: float, error_policy: ErrorPolicy,
-                    rng: np.random.Generator | None, start: int = 0) -> BlockState:
-    """Resolvent step at input theta + rho*w + e with an admissible error e drawn from ``rng``.
+def backward_update(op, theta: np.ndarray, w_delayed: np.ndarray, rho: float,
+                    error_policy: ErrorPolicy, rng: np.random.Generator | None,
+                    start: int = 0) -> BlockState:
+    """Resolvent step of ``op`` at theta + rho*w + e, an admissible error e drawn from ``rng``.
 
     ``theta`` is G z at the (possibly stale) iterate the block reads; the
     update applies no map. The error search begins at scale index ``start``
@@ -399,7 +376,7 @@ def backward_update(slot: OperatorSlot, theta: np.ndarray, w_delayed: np.ndarray
     """
     base = theta + rho * w_delayed
     base.setflags(write=False)
-    e, (x, y), k = inject_error(error_policy, rng, base, slot.op, rho, theta, w_delayed, start)
+    e, (x, y), k = inject_error(error_policy, rng, base, op, rho, theta, w_delayed, start)
     r, s = theta - x, y - w_delayed
     return BlockState(x, y, rho, k, 0, theta, w_delayed, None, e,
                       (math.sqrt(r.dot(r)), math.sqrt(s.dot(s))))
@@ -410,10 +387,9 @@ _FLOAT = np.dtype(float)
 _SKIP_BOUND = 1.0 + 1e-9
 
 
-def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
-                                  w_delayed: np.ndarray, rho_init: float,
-                                  config: EngineConfig) -> BlockState:
-    """Two-evaluation step with geometric backtracking from ``theta`` = G z.
+def forward_update_with_backtrack(op, theta: np.ndarray, w_delayed: np.ndarray,
+                                  rho_init: float, config: EngineConfig) -> BlockState:
+    """Two-evaluation step of the forward operator ``op``, backtracking from ``theta`` = G z.
 
     If T(G z) already matches w (to quickstop tolerance) the pair is
     accepted immediately with the initial stepsize and a count of zero.
@@ -441,7 +417,6 @@ def forward_update_with_backtrack(slot: OperatorSlot, theta: np.ndarray,
     returned state carries the block's residuals, from the accepted
     theta - x~ and T(x~) - w, or 0 and ||drift|| after a quickstop.
     """
-    op = slot.op
     fwd, dim = op._forward, op.dim
     if fwd is None:
         raise CapabilityError(f"operator '{op.name}' is not forward-evaluable")
@@ -646,13 +621,8 @@ class Engine:
                      if self.error_policy.mode == "seeded-random" else None)
 
         n = self._n = problem.n
-        rho = self.config.resolve_rho(n)
-        self.slots = [
-            OperatorSlot(index=i, op=problem.operators[i],
-                         kind="forward" if i in problem.forward_blocks else "backward",
-                         rho_init=rho[i])
-            for i in range(n)
-        ]
+        self._ops, self._forward = problem.operators, problem.forward_blocks
+        self._rho_init = rho = self.config.resolve_rho(n)
         self._maps = tuple(problem.maps)
         self._dim = problem.dim
         self._point = PrimalDualPoint(problem.z_init, problem.w_init)
@@ -672,8 +642,8 @@ class Engine:
         # the separator only ever sees pairs in the graphs
         z = self.iterate[0]
         self.blocks = [BlockState(self._maps[i].apply(z) if i < n - 1 else z,
-                                  np.zeros(s.op.dim), s.rho_init)
-                       for i, s in enumerate(self.slots)]
+                                  np.zeros(self._ops[i].dim), rho[i])
+                       for i in range(n)]
         self.last_selected = [1 - sched.M] * n
         self.k = 0
         self.separator: SeparatorEval | None = None
@@ -711,15 +681,20 @@ class Engine:
             entry = self._entry = (gz, w, dual_sum(w, maps, self._dim))
         return entry
 
-    def step(self) -> StepOutcome:
-        """Execute one outer iteration; see the module docstring for the shape."""
+    def step(self) -> str:
+        """Execute one outer iteration; see the module docstring for the shape.
+
+        Returns ``"continue"`` after a projection, else the terminal status:
+        ``"converged"``, ``"exact-termination"``, or ``"budget"`` when the
+        iteration budget was spent before this call.
+        """
         cfg = self.config
         if self.k >= cfg.max_iters:
-            return _BUDGET
+            return "budget"
         k = self.k = self.k + 1
         n = self._n
         last = n - 1
-        slots, blocks = self.slots, self.blocks
+        ops, forward, rho_init, blocks = self._ops, self._forward, self._rho_init, self.blocks
         _, w = p = self.iterate
         # the updates that read iterate k and the residuals below share its
         # products, and the history entry keeps them for later stale reads;
@@ -739,7 +714,6 @@ class Engine:
             delays = tuple([delayed_index(self.schedule, i, k) for i in selected])
         reads = [-1] * n  # the iterate each block read, -1 if not selected
         for i, d in zip(selected, delays):
-            slot = slots[i]
             reads[i] = d
             if d == k:
                 theta = gz[i]
@@ -749,14 +723,14 @@ class Engine:
                 theta = gz_stale[i]
                 w_d = w_stale[i] if i < last else wn_stale
             try:
-                if slot.kind == "backward":
-                    blocks[i] = backward_update(slot, theta, w_d, slot.rho_init, self.error_policy,
-                                                self._rng, blocks[i].halvings)
+                if i in forward:
+                    rho_start = min(rho_init[i], blocks[i].rho / cfg.nu)
+                    blocks[i] = forward_update_with_backtrack(ops[i], theta, w_d, rho_start, cfg)
                 else:
-                    rho_start = min(slot.rho_init, blocks[i].rho / cfg.nu)
-                    blocks[i] = forward_update_with_backtrack(slot, theta, w_d, rho_start, cfg)
+                    blocks[i] = backward_update(ops[i], theta, w_d, rho_init[i], self.error_policy,
+                                                self._rng, blocks[i].halvings)
             except (ShapeError, BacktrackLimitError) as exc:  # NonFiniteError is a ShapeError
-                raise _violation(k, slot, exc) from exc
+                raise _violation(k, i, ops[i], exc) from exc
 
         products = self._products
         if products is None:
@@ -765,8 +739,9 @@ class Engine:
             sep = self.separator = evaluate_separator(blocks, p, self._maps, cfg.gamma, cfg.beta,
                                                       products)
         except NonFiniteError as exc:
-            culprit = slots[_largest_block(blocks)]
-            raise _violation(k, culprit, exc, "; this block has the largest value") from exc
+            culprit = _largest_block(blocks)
+            raise _violation(k, culprit, ops[culprit], exc,
+                             "; this block has the largest value") from exc
 
         # residuals ||G_i z - x_i|| and ||y_i - w_i||; a block updated from
         # iterate k formed them in its update. The per-block lists are filled
@@ -805,18 +780,16 @@ class Engine:
             self._record = _record_from_rows(floats, ints, n)
 
         if exact:
-            solution = PrimalDualPoint(Vec(blocks[-1].x),
-                                       tuple(Vec(b.y) for b in blocks[:-1]))
-            return StepOutcome("exact-termination", solution)
+            return "exact-termination"
         if converged:
-            return StepOutcome("converged", self.point)
+            return "converged"
         try:
             new = project(p, sep, cfg.gamma)
         except NonFiniteError as exc:
             raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         if new is not p:
             self.iterate, self._point, self._entry = new, None, None
-        return _CONTINUE
+        return "continue"
 
     def run(self, callback=None) -> RunTrace:
         """Iterate to a terminal outcome.
@@ -828,35 +801,39 @@ class Engine:
         record)`` fires after every completed iteration, once the projection
         (if any) has been applied; the step builds ``record`` from the rows
         it wrote, and it equals ``engine.records[-1]``. The trace's ``records``
-        are those of the engine when the run ends.
+        are those of the engine when the run ends. The solution is the
+        iterate when the run converged and the block values (x_n, y_1, ...,
+        y_{n-1}) at exact termination, which certify themselves.
         """
         t0 = time.perf_counter()
         status, solution, message = "budget", None, ""
         self._emit = callback is not None
         try:
             while True:
-                out = self.step()
-                if out.kind == "budget":
+                status = self.step()
+                if status == "budget":
                     break
                 if callback is not None:
                     callback(self, self._record)
-                if out.kind != "continue":
-                    status, solution = out.kind, out.solution
+                if status != "continue":
                     break
         except AssumptionViolationError as exc:
             status, message = "assumption-violation", str(exc)
         finally:
             self._emit, self._record = False, None
+        if status == "converged":
+            solution = self.point
+        elif status == "exact-termination":
+            blocks = self.blocks
+            solution = PrimalDualPoint(Vec(blocks[-1].x), tuple(Vec(b.y) for b in blocks[:-1]))
         records = self.records.view()
         return RunTrace(status=status, iterations=len(records), records=records,
                         solution=solution, final_point=self.point, message=message,
                         wall_time=time.perf_counter() - t0)
 
 
-def _violation(k: int, slot: OperatorSlot, exc: Exception,
-               note: str = "") -> AssumptionViolationError:
-    return AssumptionViolationError(
-        f"iteration {k}, block {slot.index} (operator '{slot.op.name}'): {exc}{note}")
+def _violation(k: int, i: int, op, exc: Exception, note: str = "") -> AssumptionViolationError:
+    return AssumptionViolationError(f"iteration {k}, block {i} (operator '{op.name}'): {exc}{note}")
 
 
 def _largest_block(blocks) -> int:

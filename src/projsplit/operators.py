@@ -168,11 +168,16 @@ class ErrorPolicy:
                               "mode 'none' injects no errors")
 
 
-def error_inequality_gaps(e: np.ndarray, result: ProxResult, z_block: np.ndarray,
+def error_inequality_gaps(e: np.ndarray, x: np.ndarray, y: np.ndarray, z_block: np.ndarray,
                           w_block: np.ndarray, rho: float, sigma: float) -> tuple[float, float]:
-    """Slack of the two admissibility inequalities; both must be >= 0."""
-    gz_minus_x = z_block - result.x
-    y_minus_w = result.y - w_block
+    """Slack of the two admissibility inequalities of error e at the prox output (x, y).
+
+    ``z_block`` is G z and ``w_block`` is w; e is admissible when both gaps
+    are >= 0. :func:`inject_error` accepts a scale by this test, and
+    :class:`~projsplit.checks.InvariantMonitor` checks accepted errors by it.
+    """
+    gz_minus_x = z_block - x
+    y_minus_w = y - w_block
     g1 = gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x)
     g2 = rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w)
     return float(g1), float(g2)
@@ -190,9 +195,9 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
     nothing). ``base_input`` is the unperturbed input G z + rho*w;
     ``z_block`` is G z itself. The unit direction u is tried as
     e = u * (magnitude * 2^-k) for k = start, start + 1, ..., 49, each
-    trial one resolvent evaluation, until e is admissible; every entry of
-    e is at most ``magnitude`` in size, so a finite magnitude gives a
-    finite e. Returns the accepted error e, the prox result at base + e
+    trial one resolvent evaluation tested by :func:`error_inequality_gaps`,
+    until e is admissible; every entry of e is at most ``magnitude`` in
+    size, so a finite magnitude gives a finite e. Returns the accepted error e, the prox result at base + e
     and the accepted index k. Without an admissible scale e is zero, whose
     gaps are sigma*||.||^2 >= 0, and the index is 0, so a search
     warm-started from it begins at ``magnitude`` again. A policy that
@@ -219,12 +224,9 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
             a = base_input + e
             a.setflags(write=False)
             result = prox_eval(op, rho, a)
-            # error_inequality_gaps, with the second gap formed only when the first holds
-            gz_minus_x = z_block - result.x
-            if gz_minus_x.dot(e) + sigma * gz_minus_x.dot(gz_minus_x) >= 0.0:
-                y_minus_w = result.y - w_block
-                if rho * sigma * y_minus_w.dot(y_minus_w) - e.dot(y_minus_w) >= 0.0:
-                    return e, result, k
+            g1, g2 = error_inequality_gaps(e, result.x, result.y, z_block, w_block, rho, sigma)
+            if g1 >= 0.0 and g2 >= 0.0:
+                return e, result, k
             e = 0.5 * e
 
     return zero, prox_eval(op, rho, base_input), 0

@@ -55,9 +55,6 @@ class ProblemSpec:
         """The dimension of the primal space."""
         return len(self.z_init.entries)
 
-    def identity_map(self) -> LinearMap:
-        return LinearMap.identity(self.dim)
-
     def __post_init__(self):
         n = self.n
         if n < 1:
@@ -123,7 +120,7 @@ def kkt_residual(spec: ProblemSpec, z: Vec, w) -> float:
         raise ShapeError(f"expected {n - 1} dual blocks, got {len(w)}")
     wn = dual_sum(tuple(wi.entries for wi in w), spec.maps, spec.dim)
     worst = 0.0
-    ident = spec.identity_map()
+    ident = LinearMap.identity(spec.dim)
     for i in range(n):
         g = spec.maps[i] if i < n - 1 else ident
         gz = g.apply(z.entries)

@@ -12,7 +12,7 @@ import pytest
 
 import projsplit as ps
 from projsplit import checks
-from projsplit.engine import OperatorSlot, forward_update_with_backtrack
+from projsplit.engine import forward_update_with_backtrack
 
 ALL_KINDS = ("lasso", "box_cubic", "signed_sqrt", "skew_composed")
 
@@ -157,27 +157,24 @@ def test_criterion_4_backtracking_hand_traces():
     ident = ps.MonotoneOperator(1, forward=lambda x: x, name="identity")
     cube_ = ps.MonotoneOperator(1, forward=lambda x: x ** 3, name="cube")
 
-    def slot(op):
-        return OperatorSlot(index=0, op=op, kind="forward", rho_init=1.0)
-
     def vec(v):
         return np.array([v], dtype=float)
 
-    state = forward_update_with_backtrack(slot(ident), vec(1.0), vec(1.0), 1.0,
+    state = forward_update_with_backtrack(ident, vec(1.0), vec(1.0), 1.0,
                                           ps.EngineConfig())
     assert state.backtracks == 0
     assert abs(state.rho - 1.0) <= 1e-12
     assert abs(state.x[0] - 1.0) <= 1e-12
     assert abs(state.y[0] - 1.0) <= 1e-12
 
-    state = forward_update_with_backtrack(slot(ident), vec(1.0), vec(0.0), 1.0,
+    state = forward_update_with_backtrack(ident, vec(1.0), vec(0.0), 1.0,
                                           ps.EngineConfig(delta=0.5, nu=0.5))
     assert state.backtracks == 2
     assert abs(state.rho - 0.5) <= 1e-12
     assert abs(state.x[0] - 0.5) <= 1e-12
     assert abs(state.y[0] - 0.5) <= 1e-12
 
-    state = forward_update_with_backtrack(slot(cube_), vec(1.0), vec(0.0), 1.0,
+    state = forward_update_with_backtrack(cube_, vec(1.0), vec(0.0), 1.0,
                                           ps.EngineConfig(delta=1.0, nu=0.5))
     assert state.backtracks == 3
     assert abs(state.rho - 0.25) <= 1e-12

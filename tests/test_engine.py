@@ -15,7 +15,7 @@ from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, E
                        run_with_checks, shifted_identity, zero_op)
 from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import affine_value, update_gap
-from projsplit.engine import (BlockState, OperatorSlot, backward_update, evaluate_separator,
+from projsplit.engine import (BlockState, backward_update, evaluate_separator,
                               forward_update_with_backtrack, project)
 from projsplit.scheduler import _selection_table
 
@@ -26,10 +26,6 @@ def vec(*entries):
 
 def arr(*entries):
     return np.array(entries, dtype=float)
-
-
-def slot(op, kind, index=0, rho=1.0):
-    return OperatorSlot(index=index, op=op, kind=kind, rho_init=rho)
 
 
 NO_ERRORS = ErrorPolicy()
@@ -109,32 +105,32 @@ def test_float_noise_thresholds_are_not_fields():
 # -- backward updates ---------------------------------------------------------
 
 def test_backward_soft_threshold():
-    st_ = slot(l1_subdifferential(1.0, 1), "backward")
-    state = backward_update(st_, arr(2.0), arr(0.0), 1.0, NO_ERRORS, None)
+    op = l1_subdifferential(1.0, 1)
+    state = backward_update(op, arr(2.0), arr(0.0), 1.0, NO_ERRORS, None)
     assert state.x == pytest.approx([1.0])
     assert state.y == pytest.approx([1.0])
 
 
 def test_backward_zero_operator():
-    st_ = slot(zero_op(2), "backward")
+    op = zero_op(2)
     z, w = arr(1.0, -2.0), arr(0.5, 0.25)
-    state = backward_update(st_, z, w, 2.0, NO_ERRORS, None)
+    state = backward_update(op, z, w, 2.0, NO_ERRORS, None)
     assert state.x == pytest.approx(z + 2.0 * w)
     assert np.linalg.norm(state.y) == 0.0
 
 
 def test_backward_box_projection():
-    st_ = slot(box_normal_cone([-1.0], [1.0]), "backward")
-    state = backward_update(st_, arr(2.0), arr(0.5), 2.0, NO_ERRORS, None)
+    op = box_normal_cone([-1.0], [1.0])
+    state = backward_update(op, arr(2.0), arr(0.5), 2.0, NO_ERRORS, None)
     assert state.x == pytest.approx([1.0])
     assert state.y == pytest.approx([1.0])
 
 
 def test_backward_identity_gap_is_tiny():
-    st_ = slot(l1_subdifferential(0.3, 3), "backward")
+    op = l1_subdifferential(0.3, 3)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        state = backward_update(st_, rng.standard_normal(3), rng.standard_normal(3),
+        state = backward_update(op, rng.standard_normal(3), rng.standard_normal(3),
                                 float(rng.uniform(0.1, 5)), NO_ERRORS, None)
         assert update_gap(state, "backward") <= 1e-10
 
@@ -146,8 +142,8 @@ def _identity_op(dim=1):
 
 
 def test_forward_quickstop():
-    st_ = slot(_identity_op(), "forward")
-    state = forward_update_with_backtrack(st_, arr(1.0), arr(1.0), 1.0, EngineConfig())
+    op = _identity_op()
+    state = forward_update_with_backtrack(op, arr(1.0), arr(1.0), 1.0, EngineConfig())
     assert state.backtracks == 0
     assert state.x == pytest.approx([1.0])
     assert state.y == pytest.approx([1.0])
@@ -156,8 +152,8 @@ def test_forward_quickstop():
 
 def test_forward_identity_two_trials():
     cfg = EngineConfig(delta=0.5, nu=0.5)
-    st_ = slot(_identity_op(), "forward")
-    state = forward_update_with_backtrack(st_, arr(1.0), arr(0.0), 1.0, cfg)
+    op = _identity_op()
+    state = forward_update_with_backtrack(op, arr(1.0), arr(0.0), 1.0, cfg)
     assert state.backtracks == 2
     assert abs(state.rho - 0.5) <= 1e-12
     assert abs(state.x[0] - 0.5) <= 1e-12
@@ -167,7 +163,7 @@ def test_forward_identity_two_trials():
 def test_forward_cube_three_trials():
     cfg = EngineConfig(delta=1.0, nu=0.5)
     op = MonotoneOperator(1, forward=lambda x: x ** 3, name="cube")
-    state = forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0, cfg)
+    state = forward_update_with_backtrack(op, arr(1.0), arr(0.0), 1.0, cfg)
     assert state.backtracks == 3
     assert abs(state.rho - 0.25) <= 1e-12
     assert abs(state.x[0] - 0.75) <= 1e-12
@@ -182,7 +178,7 @@ def test_forward_accepted_step_satisfies_slope_test_and_geometry():
     for _ in range(25):
         z = 2 * rng.standard_normal(2)
         w = 2 * rng.standard_normal(2)
-        state = forward_update_with_backtrack(slot(op, "forward"), z, w, 1.0, cfg)
+        state = forward_update_with_backtrack(op, z, w, 1.0, cfg)
         if state.backtracks == 0:
             continue  # quickstop branch
         gap = z - state.x
@@ -205,7 +201,7 @@ def test_forward_non_finite_trial_counts_as_failed():
     # from z = +-1, rho = 4 gives x~ = -+3 (NaN, Inf), a trial evaluated
     # since rho*delta <= 1; 2 and 1 fail the slope test, 0.5 passes
     for z in (1.0, -1.0):
-        state = forward_update_with_backtrack(slot(op, "forward"), arr(z), arr(0.0), 4.0, cfg)
+        state = forward_update_with_backtrack(op, arr(z), arr(0.0), 4.0, cfg)
         assert state.backtracks == 4
         assert state.rho == 0.5
         assert state.x[0] == 0.5 * z and state.y[0] == 0.5 * z
@@ -214,8 +210,7 @@ def test_forward_non_finite_trial_counts_as_failed():
 def test_forward_non_finite_value_at_theta_raises():
     op = MonotoneOperator(1, forward=lambda x: np.full_like(x, np.inf), name="inf")
     with pytest.raises(NonFiniteError):
-        forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0,
-                                      EngineConfig())
+        forward_update_with_backtrack(op, arr(1.0), arr(0.0), 1.0, EngineConfig())
 
 
 def test_forward_discontinuous_operator_exhausts_budget():
@@ -227,7 +222,7 @@ def test_forward_discontinuous_operator_exhausts_budget():
     op = MonotoneOperator(1, forward=step_fn, name="step")
     cfg = EngineConfig(max_backtracks=50)
     with pytest.raises(BacktrackLimitError, match="50"):
-        forward_update_with_backtrack(slot(op, "forward"), arr(1.0), arr(0.0), 1.0, cfg)
+        forward_update_with_backtrack(op, arr(1.0), arr(0.0), 1.0, cfg)
 
 
 # -- separator and projection --------------------------------------------------
@@ -283,7 +278,7 @@ def test_affine_value_nonpositive_at_oracle():
     spec, ref = build("box_cubic", {})
     eng = Engine(spec, EngineConfig(max_iters=50))
     scale = 1.0 + np.linalg.norm(ref.z.entries)
-    while eng.step().kind == "continue":
+    while eng.step() == "continue":
         assert affine_value(eng.blocks, spec.maps, ref.point.arrays) <= 1e-9 * scale
 
 
@@ -318,15 +313,16 @@ def test_step_exact_termination_from_oracle_start():
     spec, ref = build("box_cubic", {})
     warm = dataclasses.replace(spec, z_init=ref.z, w_init=ref.w)
     eng = Engine(warm, EngineConfig(max_iters=10))
-    out = eng.step()
-    assert out.kind == "exact-termination"
-    assert kkt_residual(spec, out.solution.z, out.solution.w) <= 1e-8
+    assert eng.step() == "exact-termination"
+    trace = Engine(warm, EngineConfig(max_iters=10)).run()
+    assert trace.status == "exact-termination" and trace.iterations == 1
+    assert kkt_residual(spec, trace.solution.z, trace.solution.w) <= 1e-8
 
 
 def test_step_budget_when_exhausted():
     spec, _ = build("box_cubic", {})
     eng = Engine(spec, EngineConfig(max_iters=0))
-    assert eng.step().kind == "budget"
+    assert eng.step() == "budget"
     trace = Engine(spec, EngineConfig(max_iters=0)).run()
     assert trace.status == "budget"
     assert trace.records == []
@@ -558,7 +554,8 @@ def test_an_async_backward_update_evaluates_at_most_1_1_resolvents(monkeypatch):
     eng = _async_skew_engine()
     trace = eng.run()
     assert trace.status == "converged"
-    backward = [i for i, s in enumerate(eng.slots) if s.kind == "backward"]
+    spec = eng.problem
+    backward = [i for i in range(spec.n) if i not in spec.forward_blocks]
     updates = sum(i in r.selected for r in trace.records for i in backward)
     assert evals[0] <= 1.1 * updates, evals[0] / updates
 
@@ -846,7 +843,7 @@ def test_linesearch_evaluates_no_trial_that_must_fail(case, delta, rho_init):
         theta.setflags(write=False)
         w.setflags(write=False)
         seen.clear()
-        state = forward_update_with_backtrack(slot(op, "forward"), theta, w, rho_init, cfg)
+        state = forward_update_with_backtrack(op, theta, w, rho_init, cfg)
         assert state.backtracks >= 1 and len(seen) == 1 + state.backtracks
         d = state.drift
         rhos = [np.dot(theta - x, d) / np.dot(d, d) for x in seen[1:]]
@@ -939,7 +936,7 @@ def test_a_zero_fallback_restarts_the_next_search_at_the_full_magnitude(monkeypa
     # -||e||^2 + sigma*||e||^2 < 0 at every scale and the search falls back
     evals = _count_prox_evals(monkeypatch)
     policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=1.0, seed=0)
-    state = backward_update(slot(zero_op(2), "backward"), arr(1.0, -1.0), arr(0.0, 0.0), 1.0,
+    state = backward_update(zero_op(2), arr(1.0, -1.0), arr(0.0, 0.0), 1.0,
                             policy, np.random.default_rng(policy.seed), 10)
     assert not state.error.any() and state.halvings == 0
     assert evals[0] == 40 + 1  # indices 10..49, then the unperturbed input
@@ -958,7 +955,7 @@ def test_a_zero_fallback_restarts_the_next_search_at_the_full_magnitude(monkeypa
                        w_init=(vec(0.0, 0.0),))
     eng = Engine(spec, EngineConfig(max_iters=2), error_policy=policy)
     eng.blocks[1] = eng.blocks[1]._replace(halvings=10)
-    assert eng.step().kind == "continue"
+    assert eng.step() == "continue"
     assert not eng.blocks[1].error.any() and eng.blocks[1].halvings == 0
     eng.step()
     assert starts == [10, 0]
@@ -972,7 +969,7 @@ def test_an_error_free_backward_update_evaluates_its_prox_once(monkeypatch):
     assert evals[0] == len(eng.records)  # one l1 block, updated every iteration
     assert eng.blocks[1].halvings == 0
     evals[0] = 0
-    state = backward_update(slot(l1_subdifferential(1.0, 1), "backward"), arr(2.0), arr(0.0),
+    state = backward_update(l1_subdifferential(1.0, 1), arr(2.0), arr(0.0),
                             1.0, ErrorPolicy(), None, 7)
     assert evals[0] == 1 and state.halvings == 0 and not state.error.any()
 
@@ -1022,9 +1019,9 @@ def test_iteration_builds_at_most_n_vecs(monkeypatch):
 
 def test_iteration_overhead_is_at_most_25_python_calls():
     # per-iteration interpreter overhead, counted rather than timed: wall
-    # times of small runs spread too widely to gate on (39 calls per
-    # iteration with a forward_eval -> _argument -> checked_entries chain per
-    # evaluation and identity maps applied through LinearMap)
+    # times of small runs spread too widely to gate on (23.6 calls per
+    # iteration; 39 with a forward_eval -> _argument -> checked_entries chain
+    # per evaluation and identity maps applied through LinearMap)
     spec, _ = build("lasso", {"m": 20, "d": 50})
     eng = Engine(spec, EngineConfig(max_iters=5000))
     calls = [0]
@@ -1090,10 +1087,11 @@ def test_async_inexact_iteration_overhead_is_at_most_40_python_calls():
     # O(1) Python calls per iteration, G_i z is formed once per iterate, the
     # separator reuses the products of unchanged blocks, and a backward
     # block's error search starts at the scale it accepted last time, so
-    # most updates evaluate the resolvent once (33.3 per iteration; 42.7
-    # with each search one halving above that scale and each product formed
-    # where it was read, 176 with a generator seeded per iteration and
-    # block and a solve per resolvent)
+    # most updates evaluate the resolvent once, and tests it through one
+    # error_inequality_gaps call (35.3 per iteration; 34.2 with the gaps
+    # inlined in the search, 42.7 with each search one halving above that
+    # scale and each product formed where it was read, 176 with a generator
+    # seeded per iteration and block and a solve per resolvent)
     spec, _ = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
@@ -1118,11 +1116,12 @@ def test_checked_async_iteration_overhead_is_at_most_59_python_calls():
     # the same run under run_with_checks, set-up and schedule audit
     # included: the monitor folds each check's worst violation once per
     # iteration and checks the projection on the engine's products at the
-    # new iterate, which the next step reuses (58.6 calls per iteration;
-    # 62.8 with the landing value forming its own, 72.3 with each error
-    # search one halving above the last accepted scale and each product
-    # formed where it was read, 132 with one accumulator call per check,
-    # block and iteration)
+    # new iterate, which the next step reuses (57.5 calls per iteration;
+    # 58.6 with the error check wrapping the gaps in a ProxResult and a
+    # helper, 62.8 with the landing value forming its own, 72.3 with each
+    # error search one halving above the last accepted scale and each
+    # product formed where it was read, 132 with one accumulator call per
+    # check, block and iteration)
     spec, ref = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)

@@ -327,7 +327,7 @@ def test_inject_candidate_acceptance_worked_example():
     res = prox_eval(op, 1.0, gz + e)
     assert res.x == pytest.approx([1.1])
     assert res.y == pytest.approx([1.0])
-    g1, g2 = error_inequality_gaps(e, res, gz, w, 1.0, 0.5)
+    g1, g2 = error_inequality_gaps(e, res.x, res.y, gz, w, 1.0, 0.5)
     assert g1 == pytest.approx(0.09 + 0.5 * 0.81)
     assert g2 == pytest.approx(0.5 - 0.1)
     assert g1 >= 0 and g2 >= 0
@@ -350,7 +350,7 @@ def test_injected_errors_always_admissible(seed, sigma, magnitude, start):
         base = gz + rho * w
         with np.errstate(over="ignore", invalid="ignore"):  # at magnitudes near the largest float
             e, res, _ = inject_error(policy, errors, base, op, rho, gz, w, start)
-        g1, g2 = error_inequality_gaps(e, res, gz, w, rho, sigma)
+        g1, g2 = error_inequality_gaps(e, res.x, res.y, gz, w, rho, sigma)
         assert g1 >= -1e-12 and g2 >= -1e-12
         # the prox really was evaluated at the perturbed input
         assert (np.linalg.norm(res.x + rho * res.y - (base + e))
@@ -365,5 +365,5 @@ def test_sigma_zero_forces_tiny_or_zero_error():
     gz, w = vec(0.3, -0.2), vec(0.1, 0.1)
     e, res, _ = inject_error(policy, np.random.default_rng(policy.seed), gz + 1.0 * w, op, 1.0,
                              gz, w)
-    g1, g2 = error_inequality_gaps(e, res, gz, w, 1.0, 0.0)
+    g1, g2 = error_inequality_gaps(e, res.x, res.y, gz, w, 1.0, 0.0)
     assert g1 >= -1e-12 and g2 >= -1e-12

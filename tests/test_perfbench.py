@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from projsplit import (EngineConfig, ErrorPolicy, SchedulePolicy, make_signed_sqrt,
+from projsplit import (EngineConfig, ErrorPolicy, SchedulePolicy, engine, make_signed_sqrt,
                        make_skew_composed, operators, run, run_with_checks)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,17 +55,50 @@ def test_nonlip_linesearch_counts(monkeypatch):
     assert counts == (619, 1869, 619)
 
 
-@pytest.mark.bits
-def test_async_inexact_verify_counts(monkeypatch):
+def _async_inexact_verify():
+    """The async_inexact_verify instance solved at seed 0: (trace, spec)."""
     spec, ref = make_skew_composed(1234, (8, 6, 10))
     schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
                               delay_kind="seeded-random", seed=0)
     errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=1)
+    trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=20000), schedule, errors)
+    assert all(r.passed for r in results)
+    return trace, spec
 
-    def solve():
-        trace, results = run_with_checks(spec, ref, EngineConfig(max_iters=20000), schedule,
-                                         errors)
-        assert all(r.passed for r in results)
-        return trace, spec
 
-    assert _counts(monkeypatch, solve) == (2011, 2761, 2300)
+@pytest.mark.bits
+def test_async_inexact_verify_counts(monkeypatch):
+    assert _counts(monkeypatch, _async_inexact_verify) == (2011, 2761, 2300)
+
+
+def test_error_searches_test_each_scale_through_the_name_perfbench_wraps(monkeypatch):
+    # perfbench times operators.error_gaps by wrapping the module attribute
+    # projsplit.operators.error_inequality_gaps, so an error search must test
+    # each resolvent evaluation through it; only the zero fallback's
+    # evaluation is untested. The monitor's check binds the function at
+    # import and is not counted here, as perfbench does not span it
+    events, fallbacks = [], [0]
+    prox, gaps, inject = operators.prox_eval, operators.error_inequality_gaps, engine.inject_error
+
+    def counted_prox(*args):
+        events.append("prox")
+        return prox(*args)
+
+    def counted_gaps(*args):
+        events.append("gaps")
+        return gaps(*args)
+
+    def counted_inject(*args):
+        e, result, k = inject(*args)
+        fallbacks[0] += not e.any()  # a drawn direction is nonzero, so e = 0 is the fallback
+        return e, result, k
+
+    monkeypatch.setattr(operators, "prox_eval", counted_prox)
+    monkeypatch.setattr(operators, "error_inequality_gaps", counted_gaps)
+    monkeypatch.setattr(engine, "inject_error", counted_inject)
+    trace, _ = _async_inexact_verify()
+    assert trace.status == "converged"
+    searched = events.count("prox") - fallbacks[0]
+    assert events.count("gaps") == searched > 0
+    # each test follows the evaluation it tests
+    assert all(events[j - 1] == "prox" for j, ev in enumerate(events) if ev == "gaps")
