@@ -20,8 +20,10 @@ When ``schedule.seed`` or ``errors.seed`` are omitted they derive from the
 top-level seed (seed and seed+1), so one number reproduces a whole run.
 Unknown keys are rejected by name, and a field of the wrong type or out of
 range is a ``ConfigError`` that names it, raised when its section is built.
-``quickstop_eps`` and ``pi_zero_eps`` are constants of :class:`EngineConfig`,
-not keys. All run state lives in the file; there are no environment overrides.
+``pi_zero_eps`` and ``quickstop_eps`` are constants of :class:`EngineConfig`,
+not keys; the engine does not read ``quickstop_eps``, only the benchmark's
+numpy baseline does. All run state lives in the file; there are no
+environment overrides.
 ``projsplit run`` writes ``trace.csv`` and ``summary.json`` into its ``--out``
 directory; no key names or moves them.
 """

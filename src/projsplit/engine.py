@@ -11,7 +11,8 @@ shrinking rho geometrically until the accepted-slope test
     delta*||theta - x~||^2 - <theta - x~, T(x~) - w> <= 0
 
 holds. A trial whose T(x~) is NaN/Inf fails too: under continuity it only
-means the step was too long.
+means the step was too long. An exactly zero drift T(theta) - w is accepted
+with no trial: the first trial would pass at x~ = theta.
 
 The linesearch is warm-started. A forward block's search begins at
 
@@ -58,9 +59,10 @@ scaled by the overrelaxation factor beta. The loop stops on small
 residuals, on an exactly-zero separator gradient (which certifies the
 block values as a solution), or on the iteration budget. A run ends with
 the status ``assumption-violation`` when a linesearch exhausts its trial
-budget, when an operator returns NaN/Inf at G z or from a prox, when it
-returns a wrong-shaped value, or when NaN/Inf reaches the separator or the
-projection.
+budget (its message tells a slope test that overflowed at finite trial
+values from a possibly discontinuous operator), when an operator
+returns NaN/Inf at G z or from a prox, when it returns a wrong-shaped
+value, or when NaN/Inf reaches the separator or the projection.
 
 Operator outputs are checked once, where they enter the iteration. The
 forward linesearch calls an operator's callable itself, on read-only
@@ -95,11 +97,11 @@ of :class:`IterationRecords`, a read-only sequence that builds an
 :class:`IterationRecord` named tuple on access; a run's callback receives
 one built by the same function from the two rows the step wrote. A
 :class:`~projsplit.linalg.PrimalDualPoint` is built only for callers:
-:attr:`Engine.point` builds one on demand, and a run returns its solution
-and final point as points. Under a ``full`` schedule every block is
-selected at every iteration, and under zero delay every read is of the
-current iterate; the loop then skips block selection, delay draws and the
-history.
+:attr:`Engine.point` builds one from the iterate at each read, and a run
+builds its final point once and returns it, and its solution, as points.
+Under a ``full`` schedule every block is selected at every iteration, and
+under zero delay every read is of the current iterate; the loop then skips
+block selection, delay draws and the history.
 
 The configs and the problem are validated when built and hold no run state:
 under ``seeded-random`` prox errors, an engine seeds its own error generator
@@ -145,10 +147,12 @@ class EngineConfig:
     larger ones must fail (see the module docstring).
     Real fields must be finite numbers and max_backtracks/max_iters
     integers (booleans rejected); a bad field is a
-    :class:`~projsplit.errors.ConfigError` naming it. The constants
-    quickstop_eps (the linesearch's relative immediate-accept tolerance) and
-    pi_zero_eps (below which pi counts as exactly zero) are float-noise
-    thresholds, not parameters.
+    :class:`~projsplit.errors.ConfigError` naming it. The constant
+    pi_zero_eps (below which pi counts as exactly zero) is a float-noise
+    threshold, not a parameter. The constant quickstop_eps, a relative
+    immediate-accept tolerance, is not read by the engine, which accepts
+    with no trial only an exactly zero drift; the benchmark's numpy
+    baseline reads it.
     """
 
     gamma: float = 1.0
@@ -391,18 +395,21 @@ def forward_update_with_backtrack(op, theta: np.ndarray, w_delayed: np.ndarray,
                                   rho_init: float, config: EngineConfig) -> BlockState:
     """Two-evaluation step of the forward operator ``op``, backtracking from ``theta`` = G z.
 
-    If T(G z) already matches w (to quickstop tolerance) the pair is
-    accepted immediately with the initial stepsize and a count of zero.
-    Otherwise the stepsize shrinks from rho_init by nu, unevaluated, while
-    rho*(delta + modulus) > 1 + 1e-9 (such a trial must fail; see the module
-    docstring), and trials j = 1, 2, ... then evaluate the candidate at
-    rho * nu^(j-1) until the accepted-slope test holds. The count and the
-    budget are of evaluated trials. A trial whose T(x~) is NaN/Inf counts
-    as failed. Exceeding the trial budget raises
+    If the drift T(G z) - w has norm exactly 0.0 (every entry zero, or too
+    small for its square to be a float) the pair is accepted immediately
+    with the initial stepsize and a count of zero (the first trial would
+    pass at x~ = theta). Otherwise the stepsize shrinks from rho_init by nu,
+    unevaluated, while rho*(delta + modulus) > 1 + 1e-9 (such a trial must
+    fail; see the module docstring), and trials j = 1, 2, ... then evaluate
+    the candidate at rho * nu^(j-1) until the accepted-slope test holds.
+    The count and the budget are of evaluated trials. A trial whose T(x~)
+    is NaN/Inf counts as failed. Exceeding the trial budget raises
     :class:`~projsplit.errors.BacktrackLimitError`, since finiteness is
-    guaranteed whenever the operator really is continuous. A NaN/Inf
-    T(G z) raises :class:`~projsplit.errors.NonFiniteError`, and a
-    wrong-shaped T(G z) or T(x~) a :class:`~projsplit.errors.ShapeError`.
+    guaranteed whenever the operator really is continuous; its message
+    names an overflow instead when the last trial's x~ and T(x~) were
+    finite but its slope test was not. A NaN/Inf T(G z) raises
+    :class:`~projsplit.errors.NonFiniteError`, and a wrong-shaped T(G z) or
+    T(x~) a :class:`~projsplit.errors.ShapeError`.
 
     ``theta`` is G z at the (possibly stale) iterate the block reads; the
     update applies no map. ``theta`` and ``w_delayed`` must be read-only, as
@@ -415,7 +422,7 @@ def forward_update_with_backtrack(op, theta: np.ndarray, w_delayed: np.ndarray,
     <theta - x~, T(x~) - w> in a trial: a NaN/Inf entry makes them
     non-finite, and only then are the entries checked one by one. The
     returned state carries the block's residuals, from the accepted
-    theta - x~ and T(x~) - w, or 0 and ||drift|| after a quickstop.
+    theta - x~ and T(x~) - w, or (0, 0) for a zero drift.
     """
     fwd, dim = op._forward, op.dim
     if fwd is None:
@@ -429,21 +436,20 @@ def forward_update_with_backtrack(op, theta: np.ndarray, w_delayed: np.ndarray,
     norm = math.sqrt(drift.dot(drift))
     if not norm < math.inf and not np.isfinite(zeta).all():
         raise NonFiniteError("vector entries must be finite (no NaN/Inf)")
-    if norm <= config.quickstop_eps * (1.0 + math.sqrt(w_delayed.dot(w_delayed))):
+    if norm == 0.0:
         return BlockState(theta, zeta, rho_init, 0, 0, theta, w_delayed, drift, None,
-                          (0.0, norm))
+                          (0.0, 0.0))
     delta, nu, budget = config.delta, config.nu, config.max_backtracks
     rho = rho_init
     reach = delta + op.modulus
     while rho * reach > _SKIP_BOUND:  # a trial here fails the slope test
         rho = nu * rho
     count = 0
+    test = math.nan  # the last trial's delta*||theta - x~||^2 - slope
     while True:
         count += 1
         if count > budget:
-            raise BacktrackLimitError(
-                f"linesearch exceeded {budget} trials "
-                "(the operator may violate the continuity assumption)")
+            raise _budget_error(budget, x_try, y_try, test)
         x_try = theta - rho * drift
         x_try.setflags(write=False)
         y_try = fwd(x_try)
@@ -458,13 +464,23 @@ def forward_update_with_backtrack(op, theta: np.ndarray, w_delayed: np.ndarray,
         gap_sq = gap.dot(gap)
         mismatch = y_try - w_delayed
         slope = gap.dot(mismatch)
+        test = delta * gap_sq - slope
         # a slope test passed with a non-finite slope may hide a NaN/Inf T(x~),
         # which fails the trial as above
-        if (delta * gap_sq - slope <= 0.0
-                and (math.isfinite(slope) or np.isfinite(y_try).all())):
+        if test <= 0.0 and (math.isfinite(slope) or np.isfinite(y_try).all()):
             return BlockState(x_try, y_try, rho, 0, count, theta, w_delayed, drift, None,
                               (math.sqrt(gap_sq), math.sqrt(mismatch.dot(mismatch))))
         rho = nu * rho
+
+
+def _budget_error(budget: int, x_try, y_try, test: float) -> BacktrackLimitError:
+    """The error of a linesearch whose last trial, (x_try, y_try) with slope-test value
+    ``test``, spent its budget: an overflow when x~ and T(x~) were finite and the test not."""
+    if not math.isfinite(test) and np.isfinite(y_try).all() and np.isfinite(x_try).all():
+        cause = "the slope test overflowed at a finite x~ and T(x~)"
+    else:
+        cause = "the operator may violate the continuity assumption"
+    return BacktrackLimitError(f"linesearch exceeded {budget} trials ({cause})")
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +534,7 @@ def evaluate_separator(blocks, p, maps, gamma: float, beta: float = 1.0,
         products.last = last
     images, states, adjoints = products.images, products.states, products.adjoints
     u = []
-    v = np.zeros(last.y.shape[0])
+    v = 0.0  # 0.0 + y is np.zeros(dim) + y, entry by entry, -0.0 included
     uu = 0.0
     for i in range(len(blocks) - 1):
         b, g = blocks[i], maps[i]
@@ -625,8 +641,7 @@ class Engine:
         self._rho_init = rho = self.config.resolve_rho(n)
         self._maps = tuple(problem.maps)
         self._dim = problem.dim
-        self._point = PrimalDualPoint(problem.z_init, problem.w_init)
-        self.iterate = self._point.arrays
+        self.iterate = PrimalDualPoint(problem.z_init, problem.w_init).arrays
         # (G z, w, w_n) of the iterate, formed by the first call of entry() at it
         self._entry = None
         # a full schedule selects every block at every iteration, and with
@@ -654,11 +669,9 @@ class Engine:
 
     @property
     def point(self) -> PrimalDualPoint:
-        """The iterate as a :class:`~projsplit.linalg.PrimalDualPoint`, built on first use."""
-        if self._point is None:
-            z, w = self.iterate
-            self._point = PrimalDualPoint(Vec(z), tuple(Vec(wi) for wi in w))
-        return self._point
+        """The iterate as a :class:`~projsplit.linalg.PrimalDualPoint`, built at each read."""
+        z, w = self.iterate
+        return PrimalDualPoint(Vec(z), tuple(Vec(wi) for wi in w))
 
     def entry(self) -> tuple:
         """``(G z, w, w_n)`` of the current iterate, formed once per iterate.
@@ -788,7 +801,7 @@ class Engine:
         except NonFiniteError as exc:
             raise AssumptionViolationError(f"iteration {k}, projection: {exc}") from exc
         if new is not p:
-            self.iterate, self._point, self._entry = new, None, None
+            self.iterate, self._entry = new, None
         return "continue"
 
     def run(self, callback=None) -> RunTrace:
@@ -821,14 +834,15 @@ class Engine:
             status, message = "assumption-violation", str(exc)
         finally:
             self._emit, self._record = False, None
+        final = self.point
         if status == "converged":
-            solution = self.point
+            solution = final
         elif status == "exact-termination":
             blocks = self.blocks
             solution = PrimalDualPoint(Vec(blocks[-1].x), tuple(Vec(b.y) for b in blocks[:-1]))
         records = self.records.view()
         return RunTrace(status=status, iterations=len(records), records=records,
-                        solution=solution, final_point=self.point, message=message,
+                        solution=solution, final_point=final, message=message,
                         wall_time=time.perf_counter() - t0)
 
 

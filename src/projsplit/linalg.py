@@ -191,7 +191,9 @@ def derived_wn(p: PrimalDualPoint, maps) -> np.ndarray:
 
 def dual_sum(w, maps, dim: int) -> np.ndarray:
     """:func:`derived_wn` for the dual blocks ``w`` as arrays: -sum_i G_i* w_i in R^dim."""
-    out = np.zeros(dim)
+    # 0.0 - y is np.zeros(dim) - y, entry by entry, -0.0 included; an empty
+    # sum is the zero vector
+    out = 0.0 if maps else np.zeros(dim)
     for i in range(len(maps)):
         g = maps[i]
         out = out - (w[i] if g.matrix is None else g.apply_adjoint(w[i]))

@@ -200,36 +200,33 @@ def inject_error(policy: ErrorPolicy, rng: np.random.Generator | None, base_inpu
     size, so a finite magnitude gives a finite e. Returns the accepted error e, the prox result at base + e
     and the accepted index k. Without an admissible scale e is zero, whose
     gaps are sigma*||.||^2 >= 0, and the index is 0, so a search
-    warm-started from it begins at ``magnitude`` again. A policy that
-    injects nothing evaluates the resolvent once and returns index 0.
+    warm-started from it begins at ``magnitude`` again, as does a policy
+    that injects nothing (magnitude 0, which mode ``none`` requires) and a
+    direction drawn exactly zero: each evaluates the resolvent once, at the
+    unperturbed input, and allocates the zero error only then.
     """
-    zero = np.zeros(base_input.shape[0])
-    if policy.mode == "none" or policy.magnitude == 0.0:
-        return zero, prox_eval(op, rho, base_input), 0
-
-    direction = rng.standard_normal(base_input.shape[0])
-    # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
-    nrm = math.sqrt(direction.dot(direction))
-    if nrm == 0.0:
-        return zero, prox_eval(op, rho, base_input), 0
-    # scaling the unit vector, not magnitude * direction, keeps every entry
-    # at most magnitude, which stays finite up to the largest float
-    e = (direction / nrm) * (policy.magnitude * 0.5 ** start)
-
-    sigma = policy.sigma
-    # the gaps of a scale too large overflow to inf or NaN, which fails the
-    # test and rejects the scale; numpy need not warn about them
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(start, _MAX_HALVINGS):
-            a = base_input + e
-            a.setflags(write=False)
-            result = prox_eval(op, rho, a)
-            g1, g2 = error_inequality_gaps(e, result.x, result.y, z_block, w_block, rho, sigma)
-            if g1 >= 0.0 and g2 >= 0.0:
-                return e, result, k
-            e = 0.5 * e
-
-    return zero, prox_eval(op, rho, base_input), 0
+    if policy.magnitude:
+        direction = rng.standard_normal(base_input.shape[0])
+        # sqrt(<x, x>) is bitwise np.linalg.norm(x) for a 1-d float64 array
+        nrm = math.sqrt(direction.dot(direction))
+        if nrm != 0.0:
+            # scaling the unit vector, not magnitude * direction, keeps every
+            # entry at most magnitude, which stays finite up to the largest float
+            e = (direction / nrm) * (policy.magnitude * 0.5 ** start)
+            sigma = policy.sigma
+            # the gaps of a scale too large overflow to inf or NaN, which fails
+            # the test and rejects the scale; numpy need not warn about them
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(start, _MAX_HALVINGS):
+                    a = base_input + e
+                    a.setflags(write=False)
+                    result = prox_eval(op, rho, a)
+                    g1, g2 = error_inequality_gaps(e, result.x, result.y, z_block, w_block, rho,
+                                                   sigma)
+                    if g1 >= 0.0 and g2 >= 0.0:
+                        return e, result, k
+                    e = 0.5 * e
+    return np.zeros(base_input.shape[0]), prox_eval(op, rho, base_input), 0
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,9 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
     iterations, refines it by active-set corrections, solving the normal
     equations on each support, until the result checks out (at the latest
     at a 1e-10 gradient-map norm); the dual is recovered as w1 = A z* - b.
-    Both run on the map's aligned copy of A.
+    Both run on the map's aligned copy of A. A linear-algebra failure in the
+    oracle, as when the Gram matrix of data scaled by 1e160 overflows, is a
+    :class:`~projsplit.errors.ConfigError`.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -420,7 +422,11 @@ def make_lasso(a_mat, b, lam: float) -> tuple[ProblemSpec, ReferenceSolution]:
         w_init=(Vec(np.zeros(m)),),
     )
     a_mat = spec.maps[0].matrix
-    z_star = _lasso_oracle(a_mat, b, lam)
+    try:
+        z_star = _lasso_oracle(a_mat, b, lam)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"lasso oracle failed on this data ({exc}); its Gram matrix "
+                          "may overflow at this scale") from exc
     w1 = a_mat @ z_star - b
     ref = ReferenceSolution(z=Vec(z_star), w=(Vec(w1),), accuracy=1e-8)
     return spec, _certify(spec, ref)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from projsplit import (BacktrackLimitError, ConfigError, Engine, EngineConfig, E
                        run_with_checks, shifted_identity, zero_op)
 from projsplit.errors import AssumptionViolationError, NonFiniteError
 from projsplit.checks import affine_value, update_gap
+from projsplit.config import parse_config
 from projsplit.engine import (BlockState, backward_update, evaluate_separator,
                               forward_update_with_backtrack, project)
-from projsplit.scheduler import _selection_table
+from projsplit.operators import inject_error
+from projsplit.scheduler import _selection_table, delayed_index, select_blocks
+from test_linalg import SIGNED_ZERO_MAPS
 
 
 def vec(*entries):
@@ -611,6 +615,18 @@ def test_overflowing_linesearch_ends_in_a_status():
     assert "linesearch exceeded 200 trials" in trace.message
 
 
+def test_an_overflowing_slope_test_is_not_called_a_continuity_violation():
+    # from z = 1, c = 1e300 every trial has a finite x~ and T(x~) near 1e300,
+    # whose squared gap overflows, so no slope test can pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, _ = make_signed_sqrt([1e300, 1e300])
+        trace = run(spec, EngineConfig(max_iters=5))
+    assert trace.status == "assumption-violation"
+    assert trace.message == ("iteration 1, block 0 (operator 'signed-sqrt-drift'): linesearch "
+                             "exceeded 200 trials (the slope test overflowed at a finite x~ "
+                             "and T(x~))")
+
+
 def test_non_finite_value_at_theta_ends_in_a_status():
     for bad in (np.inf, np.nan):
         blowup = MonotoneOperator(1, forward=lambda x, bad=bad: np.where(x > 0.5, bad, x),
@@ -1043,17 +1059,19 @@ def test_iteration_overhead_is_at_most_25_python_calls():
 # formed once: the linesearch checks operator outputs through its own dot
 # products, and a fresh block's residuals come from its update (before: 22
 # dots and 84 C-level calls per iteration on both). So a run makes exactly
-# 14 dots an iteration and 2 per evaluated linesearch trial (its gap norm
-# and slope), whatever the trajectory: the forward update's 3 (the drift's
-# and w's norms at G z, the accepted mismatch's), the resolvent output's
-# finiteness check, the backward update's 2 residuals, the separator's 6 and
-# the projection's 2 (on the last iteration, which does not project, the
+# 13 dots an iteration and 2 per evaluated linesearch trial (its gap norm
+# and slope), whatever the trajectory: the forward update's 2 (the drift's
+# norm at G z, the accepted mismatch's), the resolvent output's finiteness
+# check, the backward update's 2 residuals, the separator's 6 and the
+# projection's 2 (on the last iteration, which does not project, the
 # solution's two Vecs check theirs). An iteration writes its record as one
-# float row and one integer row, two calls (56.0 and 55.1 C-level calls per
-# iteration; 66.0 and 65.1 with one append or extend per record column).
+# float row and one integer row, two calls (50.5 and 51.1 C-level calls per
+# iteration; 54.5 and 55.1 with a relative quickstop's norm of w and
+# zero-array accumulators, 64.5 and 65.1 with one append or extend per
+# record column).
 NUMPY_CALLS = {
-    "lasso": (lambda: build("lasso", {"m": 20, "d": 50})[0], 58.1),
-    "signed_sqrt": (lambda: make_signed_sqrt([0.0] * 4)[0], 57.1),
+    "lasso": (lambda: build("lasso", {"m": 20, "d": 50})[0], 53.0),
+    "signed_sqrt": (lambda: make_signed_sqrt([0.0] * 4)[0], 53.0),
 }
 
 
@@ -1077,7 +1095,7 @@ def test_iteration_makes_few_numpy_calls(case):
         sys.setprofile(None)
     assert trace.status == "converged"
     trials = sum(rec.backtracks[0] for rec in trace.records)  # block 0 is the forward block
-    assert dots[0] == 14 * trace.iterations + 2 * trials
+    assert dots[0] == 13 * trace.iterations + 2 * trials
     assert c_calls[0] <= c_call_cap * trace.iterations
 
 
@@ -1192,6 +1210,25 @@ def test_only_a_run_with_errors_builds_an_error_generator(monkeypatch):
     assert calls[0] == 1
 
 
+@pytest.mark.parametrize("kinds", [(), ("identity",), ("dense",), ("dense", "identity")],
+                         ids=str)
+def test_separator_sum_has_the_bits_of_a_zero_array_start(kinds):
+    # v = sum_i G_i* y_i + y_n formed from a scalar 0.0 keeps np.zeros(dim)'s
+    # bits on blocks of signed zeros; starting from a block would keep -0.0
+    maps = tuple(SIGNED_ZERO_MAPS[kind][0]() for kind in kinds)
+    ys = [SIGNED_ZERO_MAPS[kind][1] for kind in kinds] + [arr(-0.0, -0.0, 0.0, -0.0)]
+    blocks = [BlockState(np.ones(y.shape[0]), y, 1.0) for y in ys]
+    p = (np.ones(4), tuple(np.ones(y.shape[0]) for y in ys[:-1]))
+    expected = np.zeros(4)
+    for g, y in zip(maps, ys):
+        expected = expected + (y if g.matrix is None else g.matrix.T @ y)
+    expected = expected + ys[-1]
+    v = evaluate_separator(blocks, p, maps, 1.0).v
+    assert v.tobytes() == expected.tobytes()
+    if not kinds:
+        assert v.tobytes() != ys[-1].tobytes()
+
+
 # -- synchronous reference comparison -------------------------------------------
 
 def _reference_sync_lasso(a_mat, b, lam, z, w, cfg, iters):
@@ -1259,3 +1296,102 @@ def test_full_zero_delay_matches_synchronous_reference_bitwise():
     for (z_e, w_e), (z_r, w_r) in zip(captured, ref):
         assert np.array_equal(z_e, z_r)
         assert np.array_equal(w_e, w_r)
+
+
+# -- asynchronous reference comparison ------------------------------------------
+
+def _reference_async(spec, cfg, schedule, errors, iters):
+    """Straight-line loop of the engine's iteration under seeded selection, delays and errors.
+
+    It keeps the last D + 1 iterates as plain (z, w) pairs, applies every map
+    at every read and carries each block's accepted stepsize and error index
+    itself; only the draws (select_blocks, delayed_index, inject_error) and
+    the separator formula, without kept products, are the engine's.
+    """
+    n, maps, ops = spec.n, spec.maps, spec.operators
+    sched = schedule.resolved(n)
+    rng = np.random.default_rng(errors.seed) if errors.mode == "seeded-random" else None
+    rho_init = cfg.resolve_rho(n)
+    rho_hat, halvings = list(rho_init), [0] * n
+    last_selected = [1 - sched.M] * n
+    blocks = [None] * n
+    z, w = spec.z_init.entries, tuple(wi.entries for wi in spec.w_init)
+    history, points = {}, []
+    for k in range(1, iters + 1):
+        history[k] = (z, w)
+        history.pop(k - sched.D - 1, None)
+        selected = select_blocks(sched, n, k, last_selected)
+        for i in selected:
+            last_selected[i] = k
+        for i in selected:
+            z_d, w_d = history[delayed_index(sched, i, k)]
+            if i < n - 1:
+                g = maps[i].matrix
+                theta, w_i = (z_d if g is None else g @ z_d), w_d[i]
+            else:
+                theta, w_i = z_d, np.zeros(spec.dim)
+                for j in range(n - 1):
+                    g = maps[j].matrix
+                    w_i = w_i - (w_d[j] if g is None else g.T @ w_d[j])
+            if i in spec.forward_blocks:
+                fwd = ops[i]._forward
+                zeta = fwd(theta)
+                drift = zeta - w_i
+                rho = min(rho_init[i], rho_hat[i] / cfg.nu)
+                if np.dot(drift, drift) == 0.0:
+                    blocks[i], rho_hat[i] = BlockState(theta, zeta, rho), rho
+                    continue
+                while rho * (cfg.delta + ops[i].modulus) > 1.0 + 1e-9:
+                    rho = cfg.nu * rho
+                while True:
+                    x = theta - rho * drift
+                    y = fwd(x)
+                    gap = theta - x
+                    if cfg.delta * np.dot(gap, gap) - np.dot(gap, y - w_i) <= 0.0:
+                        break
+                    rho = cfg.nu * rho
+                blocks[i], rho_hat[i] = BlockState(x, y, rho), rho
+            else:
+                base = theta + rho_init[i] * w_i
+                _, (x, y), halvings[i] = inject_error(errors, rng, base, ops[i], rho_init[i],
+                                                      theta, w_i, halvings[i])
+                blocks[i] = BlockState(x, y, rho_init[i])
+        sep = evaluate_separator(blocks, (z, w), maps, cfg.gamma, cfg.beta, products=None)
+        assert sep.pi > cfg.pi_zero_eps
+        if sep.alpha != 0.0:
+            z = z - (sep.alpha / cfg.gamma) * sep.v
+            w = tuple(w[i] - sep.alpha * sep.u[i] for i in range(n - 1))
+        points.append((z, w))
+    return points
+
+
+def _skew_async(seed):
+    spec, _ = make_skew_composed(1234, (8, 6, 10))
+    schedule = SchedulePolicy(kind="seeded-random", p_select=0.5, M=5, D=3,
+                              delay_kind="seeded-random", seed=seed)
+    errors = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1, seed=seed + 1)
+    return spec, EngineConfig(), schedule, errors
+
+
+def _box_cubic_async(seed):
+    text = (Path(__file__).resolve().parent.parent / "configs" / "box_cubic_async.json").read_text()
+    cfg = parse_config(text).with_overrides(seed=seed)
+    spec, _ = build(cfg.problem_kind, cfg.problem_params)
+    return spec, cfg.engine, cfg.schedule, cfg.errors
+
+
+@pytest.mark.parametrize("seed", [0, 1000])
+@pytest.mark.parametrize("case", [_skew_async, _box_cubic_async], ids=["skew", "box_cubic"])
+def test_async_run_matches_straight_reference_bitwise(case, seed):
+    # the engine keeps map products, history entries, warm starts and the
+    # separator's products; the reference forms everything again at each read
+    spec, cfg, schedule, errors = case(seed)
+    cfg = dataclasses.replace(cfg, max_iters=300, tol_primal=1e-300, tol_dual=1e-300)
+    captured = []
+    trace = Engine(spec, cfg, schedule, errors).run(
+        callback=lambda e, r: captured.append((e.iterate[0], e.iterate[1])))
+    assert trace.status == "budget" and len(captured) == 300
+    ref = _reference_async(spec, cfg, schedule, errors, 300)
+    for (z_e, w_e), (z_r, w_r) in zip(captured, ref):
+        assert np.array_equal(z_e, z_r)
+        assert all(np.array_equal(a, b) for a, b in zip(w_e, w_r))

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from projsplit import (ConfigError, LinearMap, MonotoneOperator, PrimalDualPoint, ShapeError,
                        Vec)
-from projsplit.linalg import derived_wn, gamma_norm, point_diff, weighted_norm
+from projsplit.linalg import derived_wn, dual_sum, gamma_norm, point_diff, weighted_norm
 
 
 def vec(*entries):
@@ -57,6 +57,32 @@ def test_derived_wn_mixed_maps():
     p = PrimalDualPoint(vec(0.0), (vec(1.0), vec(1.0)))
     maps = (LinearMap.identity(1), LinearMap(np.diag([2.0])))
     assert derived_wn(p, maps) == pytest.approx([-3.0])
+
+
+# blocks of signed zeros for a primal space of dim 4: a dense map with zero
+# columns keeps zeros in G* y, whose signs the kernel decides
+SIGNED_ZERO_MAPS = {
+    "identity": (lambda: LinearMap.identity(4), np.array([0.0, -0.0, 1.5, -0.0])),
+    "dense": (lambda: LinearMap(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+                                          [0.0, 0.0, 0.0, 2.0]])),
+              np.array([-0.0, 0.0, -0.0])),
+}
+
+
+@pytest.mark.parametrize("kinds", [(), ("identity",), ("identity", "identity"), ("dense",),
+                                   ("dense", "identity")], ids=str)
+def test_dual_sum_has_the_bits_of_a_zero_array_start(kinds):
+    # -sum_i G_i* w_i formed from a scalar 0.0 keeps np.zeros(dim)'s bits, the
+    # signs of zeros included; -w_1 would flip them
+    maps = tuple(SIGNED_ZERO_MAPS[kind][0]() for kind in kinds)
+    w = tuple(SIGNED_ZERO_MAPS[kind][1] for kind in kinds)
+    expected = np.zeros(4)
+    for g, wi in zip(maps, w):
+        expected = expected - (wi if g.matrix is None else g.matrix.T @ wi)
+    out = dual_sum(w, maps, 4)
+    assert out.shape == (4,) and out.tobytes() == expected.tobytes()
+    if kinds == ("identity",):
+        assert out.tobytes() != (-w[0]).tobytes()
 
 
 def test_gamma_norm_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,29 @@ def test_injected_errors_always_admissible(seed, sigma, magnitude, start):
         # the prox really was evaluated at the perturbed input
         assert (np.linalg.norm(res.x + rho * res.y - (base + e))
                 <= 1e-10 * (1.0 + np.linalg.norm(base)))
+
+
+def test_an_all_zero_direction_falls_back_to_one_resolvent_evaluation():
+    # a draw of exactly zero has no unit direction: the error is zero, the
+    # index 0 and the resolvent is evaluated once, at the unperturbed input
+    class ZeroDraws:
+        def standard_normal(self, n):
+            return np.zeros(n)
+
+    calls = [0]
+
+    def prox(a, rho):
+        calls[0] += 1
+        return np.clip(a, -1.0, 1.0)
+
+    op = MonotoneOperator(2, prox=prox, name="box")
+    policy = ErrorPolicy(sigma=0.5, mode="seeded-random", magnitude=0.1)
+    gz, w = vec(0.3, 2.0), vec(0.1, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, res, k = inject_error(policy, ZeroDraws(), gz + w, op, 1.0, gz, w, 7)
+    assert e.tobytes() == np.zeros(2).tobytes() and k == 0 and calls[0] == 1
+    assert np.array_equal(res.x, vec(0.4, 1.0))
 
 
 def test_sigma_zero_forces_tiny_or_zero_error():

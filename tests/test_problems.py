@@ -488,6 +488,15 @@ def test_a_build_that_overflows_is_a_config_error_naming_the_problem(c):
         build("signed_sqrt", {"c": c})
 
 
+def test_a_lasso_oracle_that_overflows_is_a_config_error():
+    # A A^T of data scaled by 1e160 overflows, and eigvalsh raises LinAlgError
+    rng = np.random.default_rng([0, 101])
+    a_mat, b = 1e160 * rng.standard_normal((20, 50)), 1e160 * rng.standard_normal(20)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConfigError, match="lasso oracle failed.*overflow"):
+        make_lasso(a_mat, b, 1.0)
+
+
 def test_a_build_too_large_for_numpy_is_a_config_error_naming_the_problem():
     # numpy refuses a 2**40 x 2**40 matrix before it allocates anything
     with pytest.raises(ConfigError, match="problem 'lasso' cannot be built.*too big"):
